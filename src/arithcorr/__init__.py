@@ -6,8 +6,8 @@ Three mathematically independent routes to the same quantity:
   - closedform: prediction from the basis expansion of (1 + pi^tau)^-1
 """
 
-from .arith import arithmetic_autocorr, distribution, sigma, weight
-from .blocks import BlockTypeTable, autocorr_via_blocks, block_type_counts, g_of
+from .arith import arithmetic_autocorr, distribution, weight
+from .blocks import autocorr_via_blocks, block_type_counts, g_of
 from .closedform import (
     TauProfile,
     brute_count_eq4,
@@ -17,21 +17,12 @@ from .closedform import (
     predict_distribution,
     weighted_sum,
 )
-from .gf2m import (
-    GF2m,
-    PRIMITIVE_POLYS,
-    find_primitive_polynomials,
-    format_poly,
-    make_field,
-    parse_poly,
-)
+from .gf2m import PRIMITIVE_POLYS, find_primitive_polynomials, format_poly, make_field, parse_poly
 from .sequences import BinarySequence, m_sequence
 
 __all__ = [
-    "GF2m",
     "PRIMITIVE_POLYS",
     "BinarySequence",
-    "BlockTypeTable",
     "TauProfile",
     "arithmetic_autocorr",
     "autocorr_via_blocks",
@@ -48,7 +39,6 @@ __all__ = [
     "parse_poly",
     "predict_acorr",
     "predict_distribution",
-    "sigma",
     "weight",
     "weighted_sum",
 ]

@@ -7,16 +7,10 @@ is sign-symmetric, so only per-tau signed values depend on this choice.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 
 from .errors import ShiftEqualsSequence, TauOutOfRange
 from .sequences import BinarySequence, rotate_value
-
-
-def sigma(seq: BinarySequence) -> int:
-    """The integer whose binary digit lambda is bit lambda of the sequence."""
-    return seq.value
 
 
 def weight(x: int) -> int:
@@ -46,12 +40,3 @@ def distribution(seq: BinarySequence) -> dict[int, int]:
     for tau in range(1, seq.period):
         counts[arithmetic_autocorr(seq, tau)] += 1
     return dict(counts)
-
-
-def distribution_to_json(dist: dict[int, int]) -> str:
-    """JSON object {"value": multiplicity}, keys as signed decimal strings, ascending."""
-    return json.dumps({str(v): dist[v] for v in sorted(dist)})
-
-
-def distribution_from_json(text: str) -> dict[int, int]:
-    return {int(k): v for k, v in json.loads(text).items()}

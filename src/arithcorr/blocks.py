@@ -15,32 +15,11 @@ from .errors import EqualSequences, PeriodMismatch
 from .sequences import BinarySequence
 
 
-class BlockTypeTable:
-    """Counts N(alpha, beta; l) for one pair of distinct period-n rows."""
+def block_type_counts(a: BinarySequence, b: BinarySequence) -> dict[tuple[int, int, int], int]:
+    """Counts N(alpha, beta; l), keyed (alpha, beta, l), for the matrix with rows a and b.
 
-    __slots__ = ("counts", "n")
-
-    def __init__(self, counts: dict[tuple[int, int, int], int], n: int):
-        self.counts = counts
-        self.n = n
-
-    def get(self, alpha: int, beta: int, l: int) -> int:
-        return self.counts.get((alpha, beta, l), 0)
-
-    def total(self) -> int:
-        """Total windows counted; equals the number of unequal columns."""
-        return sum(self.counts.values())
-
-    def to_csv(self) -> str:
-        """Debug dump: lines `alpha,beta,l,count`, nonzero entries only."""
-        lines = ["alpha,beta,l,count"]
-        for key in sorted(self.counts):
-            lines.append(f"{key[0]},{key[1]},{key[2]},{self.counts[key]}")
-        return "\n".join(lines)
-
-
-def block_type_counts(a: BinarySequence, b: BinarySequence) -> BlockTypeTable:
-    """Block-type counts for the matrix with rows a and b."""
+    Only nonzero counts appear; their sum is the number of unequal columns.
+    """
     n = a.period
     if b.period != n:
         raise PeriodMismatch(f"periods differ: {n} vs {b.period}")
@@ -55,13 +34,13 @@ def block_type_counts(a: BinarySequence, b: BinarySequence) -> BlockTypeTable:
         q = pos[(i + 1) % k]
         key = (abits[p], abits[q], (q - p - 1) % n)
         counts[key] = counts.get(key, 0) + 1
-    return BlockTypeTable(counts, n)
+    return counts
 
 
-def g_of(table: BlockTypeTable, n: int | None = None) -> int:
+def g_of(counts: dict[tuple[int, int, int], int]) -> int:
     """g = sum l*(N(0,0;l)+N(0,1;l)) + sum (N(1,0;l)+N(1,1;l))."""
     g = 0
-    for (alpha, _beta, l), c in table.counts.items():
+    for (alpha, _beta, l), c in counts.items():
         g += l * c if alpha == 0 else c
     return g
 

@@ -11,15 +11,18 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import arith, blocks, closedform
 from .errors import ArithCorrError, PolynomialFormatError
-from .gf2m import GF2m, find_primitive_polynomials, format_poly, make_field, parse_poly
-from .sequences import BinarySequence, m_sequence
+from .gf2m import MIN_DEGREE, GF2m, find_primitive_polynomials, format_poly, make_field, parse_poly
+from .sequences import m_sequence
 
 POLY_TABLE_ENV = "ARITHCORR_POLY_TABLE"
+# Largest degree `verify` accepts; its checks walk all 2^m - 2 shifts, so the cost
+# at least doubles with each degree
+VERIFY_MAX_DEGREE = 16
 
 
 @dataclass
@@ -48,22 +51,32 @@ class RunReport:
 
 
 def _load_env_poly_table() -> dict[int, int]:
-    """User polynomial table: lines `m,exponent-list`, '#' comments allowed."""
+    """User polynomial table: UTF-8 lines `m,exponent-list`, '#' comments allowed.
+
+    A file that does not decode, a malformed line or a second line for the
+    same m raises PolynomialFormatError.
+    """
     path = os.environ.get(POLY_TABLE_ENV)
     if not path:
         return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise PolynomialFormatError(f"{path}: not UTF-8 ({exc.reason})") from None
     table = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(",")
-            try:
-                m = int(head)
-            except ValueError:
-                raise PolynomialFormatError(f"bad table line {raw!r}") from None
-            table[m] = parse_poly(rest)
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(",")
+        try:
+            m = int(head)
+        except ValueError:
+            raise PolynomialFormatError(f"bad table line {raw!r}") from None
+        if m in table:
+            raise PolynomialFormatError(f"second table line for m={m}: {raw!r}")
+        table[m] = parse_poly(rest)
     return table
 
 
@@ -71,13 +84,6 @@ def _resolve_field(m: int, poly_text: str | None) -> GF2m:
     if poly_text is not None:
         return make_field(m, parse_poly(poly_text))
     return make_field(m, _load_env_poly_table().get(m))
-
-
-def _map_taus(fn, taus, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, taus))
-    return [fn(t) for t in taus]
 
 
 def cmd_gen(args) -> int:
@@ -118,7 +124,7 @@ def cmd_acorr(args) -> int:
             r["closed"] = closedform.predict_acorr(ctx, tau).predicted_A
         return r
 
-    rows = _map_taus(row, taus, args.threads)
+    rows = [row(tau) for tau in taus]
     mismatch = any(len(set(v for k, v in r.items() if k != "tau")) > 1 for r in rows)
     if args.json:
         print(
@@ -142,10 +148,7 @@ def cmd_acorr(args) -> int:
 def cmd_dist(args) -> int:
     ctx = _resolve_field(args.m, args.poly)
     seq = m_sequence(ctx)
-    values = _map_taus(lambda t: arith.arithmetic_autocorr(seq, t), range(1, ctx.n), args.threads)
-    dist: dict[int, int] = {}
-    for v in values:
-        dist[v] = dist.get(v, 0) + 1
+    dist = arith.distribution(seq)
     ok = dist == closedform.predict_distribution(ctx.m) if args.check else None
     if args.json:
         doc = {
@@ -181,11 +184,14 @@ def _verify_field(ctx: GF2m, report: RunReport) -> None:
     seq = m_sequence(ctx)
 
     # three-way route agreement; the O(n)-per-tau blocks route is sampled
-    # for m >= 13 to keep large fields tractable
+    # for m >= 13 to keep large fields tractable.  The direct values also
+    # make up the distribution checked at the end.
     block_taus = set(range(1, n)) if m <= 12 else set(_sample_taus(n))
     bad = []
+    dist = Counter()
     for tau in range(1, n):
         direct = arith.arithmetic_autocorr(seq, tau)
+        dist[direct] += 1
         closed = closedform.predict_acorr(ctx, tau).predicted_A
         via_blocks = (
             blocks.autocorr_via_blocks(seq, seq.shift(tau)) if tau in block_taus else direct
@@ -251,12 +257,10 @@ def _verify_field(ctx: GF2m, report: RunReport) -> None:
         report.mismatches.extend(bad)
 
     # full distribution against the closed-form prediction
-    dist = arith.distribution(seq)
-    if dist != closedform.predict_distribution(m):
+    ok = dist == closedform.predict_distribution(m)
+    if not ok:
         report.mismatches.append({"check": "distribution", "m": m, "poly": poly})
-        report.rows.append({"check": "distribution", "m": m, "poly": poly, "status": "fail"})
-    else:
-        report.rows.append({"check": "distribution", "m": m, "poly": poly, "status": "pass"})
+    report.rows.append({"check": "distribution", "m": m, "poly": poly, "status": "pass" if ok else "fail"})
 
 
 def cmd_verify(args) -> int:
@@ -266,8 +270,8 @@ def cmd_verify(args) -> int:
     except ValueError:
         print(f"error: malformed m-range {args.m_range!r}, expected A..B", file=sys.stderr)
         return 2
-    if not (2 <= lo <= hi <= 16):
-        print(f"error: m-range {args.m_range!r} outside 2..16", file=sys.stderr)
+    if not (MIN_DEGREE <= lo <= hi <= VERIFY_MAX_DEGREE):
+        print(f"error: m-range {args.m_range!r} outside {MIN_DEGREE}..{VERIFY_MAX_DEGREE}", file=sys.stderr)
         return 2
     report = RunReport(
         command="verify", parameters={"m_range": args.m_range, "polys": args.polys}
@@ -314,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--tau", type=int)
     group.add_argument("--all", action="store_true")
     acorr.add_argument("--method", choices=["direct", "blocks", "closed", "all"], default="direct")
-    acorr.add_argument("--threads", type=int, default=1)
     acorr.add_argument("--json", action="store_true")
     acorr.set_defaults(func=cmd_acorr)
 
@@ -322,12 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--m", type=int, required=True)
     dist.add_argument("--poly")
     dist.add_argument("--check", action="store_true", help="compare against the closed form")
-    dist.add_argument("--threads", type=int, default=1)
     dist.add_argument("--json", action="store_true")
     dist.set_defaults(func=cmd_dist)
 
     verify = sub.add_parser("verify", help="run the full verification suite")
-    verify.add_argument("--m-range", required=True, help="degree range A..B, 2 <= A <= B <= 16")
+    verify.add_argument(
+        "--m-range", required=True, help=f"degree range A..B, {MIN_DEGREE} <= A <= B <= {VERIFY_MAX_DEGREE}"
+    )
     verify.add_argument("--polys", choices=["default", "all"], default="default")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)

@@ -27,9 +27,6 @@ class TauProfile:
     b0: int
     predicted_A: int
 
-    def to_csv_row(self) -> str:
-        return f"{self.tau},{self.e},{self.b0},{self.predicted_A}"
-
 
 def predict_acorr(ctx: GF2m, tau: int) -> TauProfile:
     """Closed-form correlation at shift tau from the inverse expansion."""

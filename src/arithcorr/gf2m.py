@@ -22,7 +22,9 @@ MIN_DEGREE = 2
 MAX_DEGREE = 24
 
 # One standard primitive polynomial per degree (lowest-weight, lexicographically
-# small taps).  Every entry is re-verified by the GF2m constructor.
+# small taps).  Every entry is re-verified by the GF2m constructor.  Degrees
+# above 16 default to the smallest primitive mask; the entries for 14 and 16
+# are not the smallest and are kept so that default output does not change.
 PRIMITIVE_POLYS = {
     2: 0x7,       # x^2 + x + 1
     3: 0xB,       # x^3 + x + 1
@@ -42,16 +44,28 @@ PRIMITIVE_POLYS = {
 }
 
 
+def _check_degree(m: int) -> None:
+    if not MIN_DEGREE <= m <= MAX_DEGREE:
+        raise DegreeOutOfRange(f"m={m} outside {MIN_DEGREE}..{MAX_DEGREE}")
+
+
 def parse_poly(text: str) -> int:
-    """Parse a polynomial given as a hex bitmask ("0xB") or exponent list ("3,1,0")."""
+    """Parse a polynomial given as a hex bitmask ("0xB") or exponent list ("3,1,0").
+
+    A degree above MAX_DEGREE raises DegreeOutOfRange; an exponent is checked
+    before its bit is set, so a huge exponent never builds a huge mask.
+    """
     text = text.strip()
     if not text:
         raise PolynomialFormatError("empty polynomial string")
     if text.lower().startswith("0x"):
         try:
-            return int(text, 16)
+            mask = int(text, 16)
         except ValueError:
             raise PolynomialFormatError(f"bad hex polynomial {text!r}") from None
+        if mask.bit_length() - 1 > MAX_DEGREE:
+            raise DegreeOutOfRange(f"degree {mask.bit_length() - 1} above {MAX_DEGREE}")
+        return mask
     mask = 0
     for part in text.split(","):
         try:
@@ -60,6 +74,8 @@ def parse_poly(text: str) -> int:
             raise PolynomialFormatError(f"bad exponent {part!r} in {text!r}") from None
         if exp < 0:
             raise PolynomialFormatError(f"negative exponent in {text!r}")
+        if exp > MAX_DEGREE:
+            raise DegreeOutOfRange(f"exponent {exp} above {MAX_DEGREE}")
         if mask >> exp & 1:
             raise PolynomialFormatError(f"repeated exponent {exp} in {text!r}")
         mask |= 1 << exp
@@ -170,8 +186,7 @@ def find_primitive_polynomials(m: int, count: int) -> list[int]:
     Returns fewer than `count` when GF(2^m) has fewer primitive polynomials
     (m = 3 and m = 4 have only two each; m = 2 has one).
     """
-    if not MIN_DEGREE <= m <= MAX_DEGREE:
-        raise DegreeOutOfRange(f"m={m} outside {MIN_DEGREE}..{MAX_DEGREE}")
+    _check_degree(m)
     found = []
     for mask in range((1 << m) | 1, 1 << (m + 1), 2):
         if is_irreducible(mask) and is_primitive(mask):
@@ -191,15 +206,9 @@ class GF2m:
     __slots__ = ("m", "modulus", "n", "_trace_mask")
 
     def __init__(self, m: int, poly: int | None = None):
-        if not MIN_DEGREE <= m <= MAX_DEGREE:
-            raise DegreeOutOfRange(f"m={m} outside {MIN_DEGREE}..{MAX_DEGREE}")
+        _check_degree(m)
         if poly is None:
-            try:
-                poly = PRIMITIVE_POLYS[m]
-            except KeyError:
-                raise DegreeOutOfRange(
-                    f"no built-in primitive polynomial for m={m}; supply one"
-                ) from None
+            poly = PRIMITIVE_POLYS.get(m) or find_primitive_polynomials(m, 1)[0]
         if poly.bit_length() - 1 != m:
             raise DegreeMismatch(
                 f"polynomial {format_poly(poly)} has degree {poly.bit_length() - 1}, expected {m}"

@@ -3,14 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithcorr import errors
-from arithcorr.arith import (
-    arithmetic_autocorr,
-    distribution,
-    distribution_from_json,
-    distribution_to_json,
-    sigma,
-    weight,
-)
+from arithcorr.arith import arithmetic_autocorr, distribution, weight
 from arithcorr.gf2m import make_field
 from arithcorr.sequences import BinarySequence, m_sequence
 
@@ -19,9 +12,9 @@ bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
 
 class TestSigmaWeight:
     def test_sigma_frozen(self):
-        assert sigma(BinarySequence.from_string("1001011")) == 105
-        assert sigma(BinarySequence.from_string("0010111")) == 116
-        assert sigma(BinarySequence([0] * 9)) == 0
+        assert BinarySequence.from_string("1001011").value == 105
+        assert BinarySequence.from_string("0010111").value == 116
+        assert BinarySequence([0] * 9).value == 0
 
     def test_weight_frozen(self):
         assert weight(11) == 3
@@ -99,9 +92,3 @@ class TestDistribution:
     def test_propagates_shift_equals_sequence(self):
         with pytest.raises(errors.ShiftEqualsSequence):
             distribution(BinarySequence.from_string("0101"))
-
-    def test_json_roundtrip(self):
-        dist = {1: 2, -1: 2, 3: 1, -3: 1}
-        text = distribution_to_json(dist)
-        assert text == '{"-3": 1, "-1": 2, "1": 2, "3": 1}'
-        assert distribution_from_json(text) == dist

@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arithcorr import arith
 from arithcorr.cli import main
 
 
@@ -42,6 +50,14 @@ class TestGen:
         assert code == 2
         assert "NotIrreducible" in err
 
+    @pytest.mark.parametrize("poly", ["4000000,0", "0x" + "f" * 200_000])
+    def test_huge_degree_exits_2_promptly(self, capsys, poly):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "gen", "--m", "5", "--poly", poly)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "DegreeOutOfRange" in err
+
 
 class TestAcorr:
     def test_single_tau_all_methods(self, capsys):
@@ -59,13 +75,12 @@ class TestAcorr:
         assert code == 2
         assert "TauOutOfRange" in err
 
-    def test_threads_same_output(self, capsys):
-        _, single, _ = run(capsys, "acorr", "--m", "5", "--all", "--method", "all")
-        code, threaded, _ = run(
-            capsys, "acorr", "--m", "5", "--all", "--method", "all", "--threads", "4"
-        )
-        assert code == 0
-        assert threaded == single
+    @pytest.mark.parametrize("command", ["acorr", "dist"])
+    def test_threads_is_unknown(self, capsys, command):
+        argv = [command, "--m", "3", "--threads", "2"] + (["--all"] if command == "acorr" else [])
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "--threads" in err
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "acorr", "--m", "3", "--tau", "1", "--method", "all", "--json")
@@ -119,6 +134,19 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_direct_route_once_per_tau(self, capsys, monkeypatch):
+        calls = []
+        original = arith.arithmetic_autocorr
+
+        def counted(seq, tau):
+            calls.append(tau)
+            return original(seq, tau)
+
+        monkeypatch.setattr(arith, "arithmetic_autocorr", counted)
+        code, _, _ = run(capsys, "verify", "--m-range", "5..5")
+        assert code == 0
+        assert sorted(calls) == list(range(1, 31))
+
 
 class TestEnvPolyTable:
     def test_overrides_default(self, capsys, tmp_path, monkeypatch):
@@ -141,6 +169,20 @@ class TestEnvPolyTable:
         assert code == 0
         assert out == "1001011\n"
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"3,3,2,0\n# \xff\xfe\n", b"3,3,2,0\n3,3,1,0\n", b"3,3,1,0\n 3 ,3,1,0 # again\n"],
+        ids=["not-utf8", "duplicate", "duplicate-same-poly"],
+    )
+    def test_bad_table_exits_2(self, capsys, tmp_path, monkeypatch, content):
+        table = tmp_path / "polys.txt"
+        table.write_bytes(content)
+        monkeypatch.setenv("ARITHCORR_POLY_TABLE", str(table))
+        code, out, err = run(capsys, "gen", "--m", "3")
+        assert (code, out) == (2, "")
+        assert "PolynomialFormatError" in err
+        assert "Traceback" not in err
+
 
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "dist", "--m", "6", "--check")
@@ -150,3 +192,31 @@ def test_deterministic_output(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+def run_quiet(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+poly_texts = st.text(max_size=30) | st.from_regex(
+    r"(0x[0-9a-fA-F]{0,8}|[0-9]{1,8}(,[0-9]{1,3}){0,4})", fullmatch=True
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_texts)
+def test_fuzz_poly_argument(text):
+    assert run_quiet(["gen", "--m", "3", "--poly", text]) in (0, 2)
+
+
+table_bytes = st.binary(max_size=64) | st.text(alphabet="0123456789,x# \n", max_size=40).map(str.encode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_bytes)
+def test_fuzz_poly_table(tmp_path_factory, content):
+    table = tmp_path_factory.getbasetemp() / "fuzz_polys.txt"
+    table.write_bytes(content)
+    with mock.patch.dict(os.environ, {"ARITHCORR_POLY_TABLE": str(table)}):
+        assert run_quiet(["gen", "--m", "3"]) in (0, 2)

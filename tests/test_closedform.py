@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -31,8 +32,8 @@ class TestPredictAcorr:
         with pytest.raises(errors.TauOutOfRange):
             predict_acorr(make_field(3), 0)
 
-    def test_csv_row(self):
-        assert predict_acorr(make_field(3), 5).to_csv_row() == "5,1,1,3"
+    def test_field_order(self):
+        assert astuple(predict_acorr(make_field(3), 5)) == (5, 1, 1, 3)
 
     @pytest.mark.parametrize("m", range(2, 10))
     def test_magnitude_is_power_of_two_minus_one(self, m):

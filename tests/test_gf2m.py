@@ -1,8 +1,8 @@
 import pytest
 
+import arithcorr
 from arithcorr import errors
 from arithcorr.gf2m import (
-    GF2m,
     PRIMITIVE_POLYS,
     find_primitive_polynomials,
     format_poly,
@@ -27,6 +27,14 @@ class TestParsing:
     def test_bad_strings_raise(self, bad):
         with pytest.raises(errors.PolynomialFormatError):
             parse_poly(bad)
+
+    def test_max_degree_accepted(self):
+        assert parse_poly("24,0") == parse_poly("0x1000001") == (1 << 24) | 1
+
+    @pytest.mark.parametrize("text", ["25,0", "0,25", "0x2000001"])
+    def test_degree_above_max_rejected(self, text):
+        with pytest.raises(errors.DegreeOutOfRange):
+            parse_poly(text)
 
 
 class TestMakeField:
@@ -61,6 +69,8 @@ class TestMakeField:
             make_field(1, 0b11)
         with pytest.raises(errors.DegreeOutOfRange):
             make_field(25)
+        with pytest.raises(errors.DegreeOutOfRange):
+            find_primitive_polynomials(25, 1)
 
     def test_degree_mismatch(self):
         with pytest.raises(errors.DegreeMismatch):
@@ -69,6 +79,21 @@ class TestMakeField:
     def test_builtin_table_all_valid(self):
         for m in PRIMITIVE_POLYS:
             assert make_field(m).n == (1 << m) - 1
+
+
+class TestDefaultModuli:
+    def test_builtin_table_frozen(self):
+        # 14 and 16 are not the smallest primitive masks (0x402b, 0x1002d);
+        # changing them would change the default output of gen and verify
+        assert PRIMITIVE_POLYS == {
+            2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x11D, 9: 0x211,
+            10: 0x409, 11: 0x805, 12: 0x1053, 13: 0x201B, 14: 0x4443, 15: 0x8003,
+            16: 0x1100B,
+        }
+
+    def test_defaults_above_table_frozen(self):
+        expected = [0x20009, 0x40027, 0x80027, 0x100009, 0x200005, 0x400003, 0x800021, 0x100001B]
+        assert [make_field(m).modulus for m in range(17, 25)] == expected
 
 
 class TestArithmetic:
@@ -192,4 +217,10 @@ class TestPrimitiveSearch:
 def test_context_equality_and_hash():
     assert make_field(3) == make_field(3, 0xB)
     assert make_field(3) != make_field(3, 0b1101)
-    assert hash(GF2m(3)) == hash(GF2m(3, 0xB))
+    assert hash(make_field(3)) == hash(make_field(3, 0xB))
+
+
+def test_package_names_resolve():
+    for name in arithcorr.__all__:
+        assert getattr(arithcorr, name) is not None
+    assert "GF2m" not in arithcorr.__all__
