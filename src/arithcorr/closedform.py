@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import LOutOfRange, TauOutOfRange
+from .errors import LOutOfRange, NonIntegerCount, TauOutOfRange
 from .gf2m import GF2m
 from .sequences import m_sequence
 
@@ -56,8 +56,8 @@ def lemma4_count(ctx: GF2m, tau: int, l: int) -> int:
     """Closed-form count N(0,0;l) + N(0,1;l) for the m-sequence vs its tau-shift.
 
     The case formulas carry prefactors like 2^(m-l-3) that are fractional
-    for small m but always cancel; evaluated as exact rationals with the
-    integrality asserted before returning.
+    for small m but always cancel; evaluated as exact rationals, and a
+    result that is not an integer raises NonIntegerCount.
     """
     if not 1 <= l <= ctx.m - 1:
         raise LOutOfRange(f"l={l} outside 1..{ctx.m - 1}")
@@ -75,7 +75,7 @@ def lemma4_count(ctx: GF2m, tau: int, l: int) -> int:
         else:
             result = pref * (1 + sign)
     if result.denominator != 1:
-        raise AssertionError(f"non-integer count {result} for m={ctx.m}, tau={tau}, l={l}")
+        raise NonIntegerCount(f"non-integer count {result} for m={ctx.m}, tau={tau}, l={l}")
     return int(result)
 
 

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+# Longest piece of user input an error message quotes
+EXCERPT_CHARS = 40
+
+
+def excerpt(text: str) -> str:
+    """repr of text, cut to its first EXCERPT_CHARS characters plus '...'."""
+    if len(text) <= EXCERPT_CHARS:
+        return repr(text)
+    return repr(text[:EXCERPT_CHARS]) + "..."
+
 
 class ArithCorrError(Exception):
     """Base class for all errors raised by arithcorr."""
@@ -51,3 +61,7 @@ class PeriodMismatch(ArithCorrError):
 
 class LOutOfRange(ArithCorrError):
     """Interior-run length l outside the valid range."""
+
+
+class NonIntegerCount(ArithCorrError):
+    """A closed-form window count did not come out as an integer."""

@@ -8,6 +8,8 @@ coefficient vector over the polynomial basis {1, pi, ..., pi^(m-1)}.
 
 from __future__ import annotations
 
+from array import array
+
 from .errors import (
     DegreeMismatch,
     DegreeOutOfRange,
@@ -16,6 +18,7 @@ from .errors import (
     PolynomialFormatError,
     TauOutOfRange,
     ZeroInverse,
+    excerpt,
 )
 
 MIN_DEGREE = 2
@@ -62,7 +65,7 @@ def parse_poly(text: str) -> int:
         try:
             mask = int(text, 16)
         except ValueError:
-            raise PolynomialFormatError(f"bad hex polynomial {text!r}") from None
+            raise PolynomialFormatError(f"bad hex polynomial {excerpt(text)}") from None
         if mask.bit_length() - 1 > MAX_DEGREE:
             raise DegreeOutOfRange(f"degree {mask.bit_length() - 1} above {MAX_DEGREE}")
         return mask
@@ -71,13 +74,13 @@ def parse_poly(text: str) -> int:
         try:
             exp = int(part)
         except ValueError:
-            raise PolynomialFormatError(f"bad exponent {part!r} in {text!r}") from None
+            raise PolynomialFormatError(f"bad exponent {excerpt(part)} in {excerpt(text)}") from None
         if exp < 0:
-            raise PolynomialFormatError(f"negative exponent in {text!r}")
+            raise PolynomialFormatError(f"negative exponent in {excerpt(text)}")
         if exp > MAX_DEGREE:
             raise DegreeOutOfRange(f"exponent {exp} above {MAX_DEGREE}")
         if mask >> exp & 1:
-            raise PolynomialFormatError(f"repeated exponent {exp} in {text!r}")
+            raise PolynomialFormatError(f"repeated exponent {exp} in {excerpt(text)}")
         mask |= 1 << exp
     return mask
 
@@ -199,11 +202,13 @@ def find_primitive_polynomials(m: int, count: int) -> list[int]:
 class GF2m:
     """GF(2^m) with a verified primitive modulus.
 
-    Immutable after construction; all operations are pure.  Elements are
-    ints in [0, 2^m), bit i holding the coefficient of pi^i.
+    The field itself never changes; the log/antilog tables behind
+    expand_inverse_one_plus_pi_tau are filled in on its first call, so
+    construction costs no O(2^m) walk.  Elements are ints in [0, 2^m),
+    bit i holding the coefficient of pi^i.
     """
 
-    __slots__ = ("m", "modulus", "n", "_trace_mask")
+    __slots__ = ("m", "modulus", "n", "_trace_mask", "_log", "_antilog")
 
     def __init__(self, m: int, poly: int | None = None):
         _check_degree(m)
@@ -221,6 +226,7 @@ class GF2m:
         self.modulus = poly
         self.n = (1 << m) - 1
         self._trace_mask = self._basis_traces()
+        self._log = self._antilog = None
 
     def _basis_traces(self) -> int:
         # t_i = T(pi^i) by the defining sum of m-1 successive squarings
@@ -256,15 +262,38 @@ class GF2m:
         """T(a) in {0,1}, as an inner product against the precomputed basis traces."""
         return (a & self._trace_mask).bit_count() & 1
 
+    def _zech_tables(self) -> tuple[array, array]:
+        # antilog[k] = pi^k and log[pi^k] = k, from one x <- x*pi walk;
+        # the narrowest unsigned typecode that holds n
+        if self._antilog is None:
+            n, top, mod = self.n, 1 << self.m, self.modulus
+            typecode = "H" if n < 1 << 16 else "I"
+            antilog = array(typecode, [0]) * n
+            log = array(typecode, [0]) * (n + 1)
+            x = 1
+            for k in range(n):
+                antilog[k] = x
+                log[x] = k
+                x <<= 1
+                if x & top:
+                    x ^= mod
+            self._log, self._antilog = log, antilog
+        return self._log, self._antilog
+
     def expand_inverse_one_plus_pi_tau(self, tau: int) -> tuple[int, tuple[int, ...]]:
         """Basis expansion of (1 + pi^tau)^-1 as (e, (b_0, ..., b_(e-1))).
 
         e is the top nonzero index of the expansion (1 <= e <= m-1); the
-        coefficient of pi^e is implicitly 1.
+        coefficient of pi^e is implicitly 1.  With Zech's logarithm
+        1 + pi^tau = pi^Z(tau), the inverse is pi^(n - Z(tau)): two lookups
+        in tables built on the first call.  inv(pow(2, tau) ^ 1) is the
+        same element and serves as the test oracle.
         """
         if not 1 <= tau <= self.n - 1:
             raise TauOutOfRange(f"tau={tau} outside 1..{self.n - 1}")
-        el = self.inv(self.pow(2, tau) ^ 1)
+        log, antilog = self._zech_tables()
+        # 1 + pi^tau != 1, so Z(tau) = log[...] lies in 1..n-1
+        el = antilog[self.n - log[antilog[tau] ^ 1]]
         e = el.bit_length() - 1
         return e, tuple(el >> i & 1 for i in range(e))
 

@@ -7,7 +7,7 @@ value, so the `value` property is a reinterpretation, not a conversion.
 
 from __future__ import annotations
 
-from .errors import PatternTooLong, TauOutOfRange
+from .errors import PatternTooLong, TauOutOfRange, excerpt
 from .gf2m import GF2m
 
 
@@ -39,7 +39,7 @@ class BinarySequence:
     def from_string(cls, text: str) -> "BinarySequence":
         """Parse a '0'/'1' string, index 0 leftmost."""
         if not set(text) <= {"0", "1"}:
-            raise ValueError(f"not a binary string: {text!r}")
+            raise ValueError(f"not a binary string: {excerpt(text)}")
         return cls(int(c) for c in text)
 
     @property

@@ -58,6 +58,12 @@ class TestGen:
         assert code == 2
         assert "DegreeOutOfRange" in err
 
+    def test_long_bad_poly_error_is_short(self, capsys):
+        code, _, err = run(capsys, "gen", "--m", "3", "--poly", "9" * 5000 + ",0")
+        assert code == 2
+        assert "PolynomialFormatError" in err
+        assert len(err.encode()) < 300
+
 
 class TestAcorr:
     def test_single_tau_all_methods(self, capsys):
@@ -134,6 +140,21 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    # m = 13 samples 66 of its 8190 taus for the blocks route
+    @pytest.mark.parametrize("m, blocks, sampled", [(5, 30, False), (13, 66, True)])
+    def test_three_way_coverage(self, capsys, m, blocks, sampled):
+        code, out, _ = run(capsys, "verify", "--m-range", f"{m}..{m}", "--json")
+        (row,) = [r for r in json.loads(out)["rows"] if r["check"] == "three_way"]
+        n = (1 << m) - 1
+        assert code == 0
+        assert row["taus_checked"] == {"direct": n - 1, "blocks": blocks, "closed": n - 1}
+        assert row["sampled"] is sampled
+
+    def test_three_way_csv_unchanged(self, capsys):
+        code, out, _ = run(capsys, "verify", "--m-range", "5..5")
+        assert code == 0
+        assert out.splitlines()[:2] == ["check,m,poly,status", "three_way,5,0x25,pass"]
+
     def test_direct_route_once_per_tau(self, capsys, monkeypatch):
         calls = []
         original = arith.arithmetic_autocorr
@@ -168,6 +189,14 @@ class TestEnvPolyTable:
         code, out, _ = run(capsys, "gen", "--m", "3", "--poly", "3,1,0")
         assert code == 0
         assert out == "1001011\n"
+
+    def test_long_bad_table_line_error_is_short(self, capsys, tmp_path, monkeypatch):
+        table = tmp_path / "polys.txt"
+        table.write_text("x" * 5000 + ",3,1,0\n")
+        monkeypatch.setenv("ARITHCORR_POLY_TABLE", str(table))
+        code, _, err = run(capsys, "gen", "--m", "3")
+        assert code == 2
+        assert len(err.encode()) < 300
 
     @pytest.mark.parametrize(
         "content",

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from arithcorr.closedform import (
     predict_distribution,
     weighted_sum,
 )
-from arithcorr.gf2m import find_primitive_polynomials, make_field
+from arithcorr.gf2m import GF2m, find_primitive_polynomials, make_field
 from arithcorr.sequences import m_sequence
 
 
@@ -59,6 +60,12 @@ class TestPredictDistribution:
         with pytest.raises(ValueError):
             predict_distribution(1)
 
+    @pytest.mark.parametrize("m", [17, 18])
+    def test_closed_form_above_verify_cap(self, m):
+        ctx = make_field(m)
+        counts = Counter(predict_acorr(ctx, tau).predicted_A for tau in range(1, ctx.n))
+        assert counts == predict_distribution(m)
+
 
 class TestLemma4:
     def test_frozen_m3(self):
@@ -71,6 +78,13 @@ class TestLemma4:
         for l in (0, 3):
             with pytest.raises(errors.LOutOfRange):
                 lemma4_count(ctx, 1, l)
+
+    def test_non_integer_count_is_typed(self, monkeypatch):
+        # e = 3 cannot occur for m = 3; with l = 1 it leaves the prefactor
+        # 2^(m-l-3) = 1/2 uncancelled
+        monkeypatch.setattr(GF2m, "expand_inverse_one_plus_pi_tau", lambda self, tau: (3, (0, 0, 0)))
+        with pytest.raises(errors.NonIntegerCount):
+            lemma4_count(make_field(3), 1, 1)
 
     def test_e1_cases(self):
         # l >= e branch: the fractional prefactor 2^(m-l-3) is multiplied by

@@ -12,6 +12,7 @@ from arithcorr.gf2m import (
     parse_poly,
     prime_factors,
 )
+from arithcorr.sequences import m_sequence
 from conftest import trace_by_squaring
 
 
@@ -30,6 +31,14 @@ class TestParsing:
 
     def test_max_degree_accepted(self):
         assert parse_poly("24,0") == parse_poly("0x1000001") == (1 << 24) | 1
+
+    @pytest.mark.parametrize(
+        "text", ["9" * 5000 + ",0", "0x" + "z" * 5000, "-1," + "0" * 5000, "3,3," + "0" * 5000]
+    )
+    def test_error_quotes_bounded_prefix(self, text):
+        with pytest.raises(errors.PolynomialFormatError) as info:
+            parse_poly(text)
+        assert len(str(info.value)) < 200
 
     @pytest.mark.parametrize("text", ["25,0", "0,25", "0x2000001"])
     def test_degree_above_max_rejected(self, text):
@@ -192,6 +201,44 @@ class TestExpansion:
             el = (1 << e) | sum(bit << i for i, bit in enumerate(b))
             seen.add(el)
         assert seen == set(range(2, 1 << m))
+
+
+def oracle_expansion(ctx, tau):
+    """(1 + pi^tau)^-1 by square-and-multiply pow and inv, in the (e, b) form."""
+    el = ctx.inv(ctx.pow(2, tau) ^ 1)
+    e = el.bit_length() - 1
+    return e, tuple(el >> i & 1 for i in range(e))
+
+
+def spread_taus(n, count=200):
+    step = max(1, (n - 1) // count)
+    return sorted(set(range(1, n, step)) | {n - 1})
+
+
+class TestZechExpansion:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_every_tau_matches_pow_inv(self, m):
+        for poly in find_primitive_polynomials(m, 3):
+            ctx = make_field(m, poly)
+            for tau in range(1, ctx.n):
+                assert ctx.expand_inverse_one_plus_pi_tau(tau) == oracle_expansion(ctx, tau)
+
+    @pytest.mark.parametrize("m", range(13, 19))
+    def test_spread_taus_match_pow_inv(self, m):
+        ctx = make_field(m)
+        for tau in spread_taus(ctx.n):
+            assert ctx.expand_inverse_one_plus_pi_tau(tau) == oracle_expansion(ctx, tau)
+
+    @pytest.mark.parametrize("m", [3, 16, 17])
+    def test_tables_built_on_first_use(self, m):
+        # field and sequence set-up must not pay for the O(2^m) table walk
+        ctx = make_field(m)
+        m_sequence(ctx)
+        assert ctx._antilog is None and ctx._log is None
+        ctx.expand_inverse_one_plus_pi_tau(1)
+        assert len(ctx._antilog) == ctx.n
+        # narrowest unsigned typecode holding n = 2^m - 1
+        assert ctx._antilog.typecode == ("H" if m <= 16 else "I")
 
 
 class TestPrimitiveSearch:

@@ -21,6 +21,9 @@ class TestConstruction:
             BinarySequence([0, 2])
         with pytest.raises(ValueError):
             BinarySequence.from_string("10a")
+        with pytest.raises(ValueError) as info:
+            BinarySequence.from_string("2" * 5000)
+        assert len(str(info.value)) < 100
 
     def test_cyclic_indexing(self):
         seq = BinarySequence.from_string("1001011")
