@@ -3,10 +3,23 @@
 A window of l+2 cyclic columns has type [alpha, beta; l] when its first
 column is (alpha, 1-alpha), its last is (beta, 1-beta) and the l interior
 columns have equal rows.  The correlation is n - 2*g where g weights the
-type counts.  Counting is done by collecting unequal-column positions and
-measuring cyclic gaps between consecutive ones: each adjacent pair of
-unequal columns contributes exactly one window, so the scan is O(n)
-instead of the O(n^2) naive window search.
+type counts.
+
+Counting is bit-parallel on the rows' 2-adic values.  The ones of
+x = a ^ b are the unequal columns, and each one starts exactly one window,
+which ends at the next one of x.  Going up in l, `open` holds the starts
+whose window has not ended yet; the windows with l interior columns start
+at the ones of open & rot(x, l+1), which then leave `open`.  Four bit
+counts against a and rot(a, l+1) split them by (alpha, beta).  The loop
+stops once `open` is empty, after G+1 rounds for G the longest run of
+equal columns, which is below m when a and b are an m-sequence and one of
+its shifts.  The cost is O((G+1)*n/w) for w-bit machine words: small for
+m-sequences, and worst for a single unequal column (G = n-1), which at
+n = 2^16 - 1 takes about 90 ms where a scan of the gaps between unequal
+columns takes about 3 ms.
+
+The route is carry-free: it uses only &, |, ^, shifts and bit counts on the
+row values, never the subtraction that the direct route rests on.
 """
 
 from __future__ import annotations
@@ -23,17 +36,30 @@ def block_type_counts(a: BinarySequence, b: BinarySequence) -> dict[tuple[int, i
     n = a.period
     if b.period != n:
         raise PeriodMismatch(f"periods differ: {n} vs {b.period}")
-    abits, bbits = a.bits, b.bits
-    pos = [i for i in range(n) if abits[i] != bbits[i]]
-    if not pos:
+    top = a.value
+    x = top ^ b.value
+    if not x:
         raise EqualSequences("rows are identical")
+    # two periods side by side: in the low n bits, x2 >> k reads as rot(x, k)
+    # for every k <= n, and only the low n bits are ever kept
+    x2 = x | (x << n)
+    top2 = top | (top << n)
     counts: dict[tuple[int, int, int], int] = {}
-    k = len(pos)
-    for i in range(k):
-        p = pos[i]
-        q = pos[(i + 1) % k]
-        key = (abits[p], abits[q], (q - p - 1) % n)
-        counts[key] = counts.get(key, 0) + 1
+    open_ = x
+    l = 0
+    while open_:
+        closed = open_ & (x2 >> (l + 1))
+        if closed:
+            open_ ^= closed
+            starts1 = closed & top
+            ends_top = top2 >> (l + 1)
+            for alpha, starts in ((0, closed ^ starts1), (1, starts1)):
+                ends1 = starts & ends_top
+                for beta, w in ((0, starts ^ ends1), (1, ends1)):
+                    c = w.bit_count()
+                    if c:
+                        counts[(alpha, beta, l)] = c
+        l += 1
     return counts
 
 
@@ -54,9 +80,9 @@ def autocorr_via_blocks(a: BinarySequence, b: BinarySequence) -> int:
     n = a.period
     if b.period != n:
         raise PeriodMismatch(f"periods differ: {n} vs {b.period}")
-    abits, bbits = a.bits, b.bits
-    if not any(abits[i] == 1 and bbits[i] == 0 for i in range(n)):
-        if a.bits == b.bits:
+    x = a.value ^ b.value
+    if not a.value & x:
+        if not x:
             raise EqualSequences("rows are identical")
         return -autocorr_via_blocks(b, a)
     return n - 2 * g_of(block_type_counts(a, b))

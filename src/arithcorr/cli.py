@@ -23,6 +23,9 @@ POLY_TABLE_ENV = "ARITHCORR_POLY_TABLE"
 # Largest degree `verify` accepts; its checks walk all 2^m - 2 shifts, so the cost
 # at least doubles with each degree
 VERIFY_MAX_DEGREE = 16
+# Largest degree at which `verify` runs the blocks route at every tau; above it
+# the blocks route runs on spread sample taus and the three_way row says so
+THREE_WAY_EXHAUSTIVE_MAX_DEGREE = 14
 
 
 @dataclass
@@ -112,36 +115,33 @@ def cmd_acorr(args) -> int:
     ctx = _resolve_field(args.m, args.poly)
     seq = m_sequence(ctx)
     methods = ["direct", "blocks", "closed"] if args.method == "all" else [args.method]
-    taus = list(range(1, ctx.n)) if args.all else [args.tau]
+    taus = range(1, ctx.n) if args.all else [args.tau]
+    route = {
+        "direct": lambda tau: arith.arithmetic_autocorr(seq, tau),
+        "blocks": lambda tau: blocks.autocorr_via_blocks(seq, seq.shift(tau)),
+        "closed": lambda tau: closedform.predict_acorr(ctx, tau).predicted_A,
+    }
+    routes = [route[k] for k in methods]
+    keys = ["tau"] + methods
 
-    def row(tau: int) -> dict:
-        r = {"tau": tau}
-        if "direct" in methods:
-            r["direct"] = arith.arithmetic_autocorr(seq, tau)
-        if "blocks" in methods:
-            r["blocks"] = blocks.autocorr_via_blocks(seq, seq.shift(tau))
-        if "closed" in methods:
-            r["closed"] = closedform.predict_acorr(ctx, tau).predicted_A
-        return r
-
-    rows = [row(tau) for tau in taus]
-    mismatch = any(len(set(v for k, v in r.items() if k != "tau")) > 1 for r in rows)
+    # each row becomes text as soon as it is computed, so memory holds one
+    # short string per tau; the JSON text is what json.dumps of the whole
+    # document would give
+    lines = []
+    mismatch = False
+    for tau in taus:
+        values = [tau] + [f(tau) for f in routes]
+        mismatch = mismatch or len(set(values[1:])) > 1
+        if args.json:
+            lines.append("{" + ", ".join(f'"{k}": {v}' for k, v in zip(keys, values)) + "}")
+        else:
+            lines.append(",".join(map(str, values)))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "acorr",
-                    "m": ctx.m,
-                    "poly": format_poly(ctx.modulus),
-                    "methods": methods,
-                    "rows": rows,
-                    "status": "fail" if mismatch else "pass",
-                }
-            )
-        )
+        head = json.dumps({"command": "acorr", "m": ctx.m, "poly": format_poly(ctx.modulus), "methods": methods})
+        status = "fail" if mismatch else "pass"
+        print(f'{head[:-1]}, "rows": [{", ".join(lines)}], "status": "{status}"}}')
     else:
-        for r in rows:
-            print(",".join(str(r[k]) for k in ["tau"] + methods))
+        print("\n".join(lines))
     return 1 if mismatch else 0
 
 
@@ -183,10 +183,10 @@ def _verify_field(ctx: GF2m, report: RunReport) -> None:
     poly = f"0x{ctx.modulus:x}"
     seq = m_sequence(ctx)
 
-    # three-way route agreement; the O(n)-per-tau blocks route is sampled
-    # for m >= 13 to keep large fields tractable, and the row says so.  The
-    # direct values also make up the distribution checked at the end.
-    block_taus = set(range(1, n)) if m <= 12 else set(_sample_taus(n))
+    # three-way route agreement; the blocks route is sampled above
+    # THREE_WAY_EXHAUSTIVE_MAX_DEGREE, and the row says so.  The direct
+    # values also make up the distribution checked at the end.
+    block_taus = set(range(1, n)) if m <= THREE_WAY_EXHAUSTIVE_MAX_DEGREE else set(_sample_taus(n))
     bad = []
     dist = Counter()
     for tau in range(1, n):

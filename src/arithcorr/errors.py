@@ -43,6 +43,10 @@ class TauOutOfRange(ArithCorrError):
     """Shift amount tau outside the valid range."""
 
 
+class InvalidSequence(ArithCorrError, ValueError):
+    """Bits or a pattern that do not form a binary sequence (also a ValueError)."""
+
+
 class PatternTooLong(ArithCorrError):
     """Pattern longer than the sequence period."""
 

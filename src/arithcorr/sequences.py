@@ -1,14 +1,20 @@
 """Periodic binary sequences and the classical pseudorandomness checks.
 
-A BinarySequence holds one full period of bits.  Bit storage follows the
-2-adic convention: index 0 is the least significant digit of the integer
-value, so the `value` property is a reinterpretation, not a conversion.
+A BinarySequence is one period held as its 2-adic value
+sigma = sum of s_lambda * 2^lambda together with the period n: bit lambda
+of `value` is s_lambda.  That pair is the whole state.  A cyclic shift is a
+rotation of the value, pattern counts AND rotations of the value and its
+complement, and the bit tuple, the string and the CSV export are derived
+from the value on demand.
 """
 
 from __future__ import annotations
 
-from .errors import PatternTooLong, TauOutOfRange, excerpt
+from .errors import InvalidSequence, PatternTooLong, TauOutOfRange, excerpt
 from .gf2m import GF2m
+
+# bytes 0/1 to the ASCII digits int(..., 2) reads
+_ASCII_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def rotate_value(value: int, tau: int, n: int) -> int:
@@ -18,19 +24,35 @@ def rotate_value(value: int, tau: int, n: int) -> int:
     return (value >> tau) | ((value & ((1 << tau) - 1)) << (n - tau))
 
 
+def _pack(digits) -> int:
+    """The int whose bit i is digits[i], for a bytes-like of 0s and 1s."""
+    return int(digits[::-1].translate(_ASCII_DIGITS), 2)
+
+
 class BinarySequence:
     """One period of a binary sequence; immutable, cyclically indexed."""
 
-    __slots__ = ("bits", "_value")
+    __slots__ = ("value", "period")
 
     def __init__(self, bits):
-        bits = tuple(int(b) for b in bits)
-        if len(bits) < 2:
-            raise ValueError("period must be at least 2")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "_value", None)
+        try:
+            digits = bytes(map(int, bits))
+        except ValueError:
+            raise InvalidSequence("bits must be 0 or 1") from None
+        if len(digits) < 2:
+            raise InvalidSequence("period must be at least 2")
+        if digits.translate(None, b"\0\1"):
+            raise InvalidSequence("bits must be 0 or 1")
+        object.__setattr__(self, "value", _pack(digits))
+        object.__setattr__(self, "period", len(digits))
+
+    @classmethod
+    def _from_value(cls, value: int, period: int) -> "BinarySequence":
+        # trusted internal constructor: value already lies in [0, 2^period)
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "value", value)
+        object.__setattr__(seq, "period", period)
+        return seq
 
     def __setattr__(self, name, value):
         raise AttributeError("BinarySequence is immutable")
@@ -39,22 +61,13 @@ class BinarySequence:
     def from_string(cls, text: str) -> "BinarySequence":
         """Parse a '0'/'1' string, index 0 leftmost."""
         if not set(text) <= {"0", "1"}:
-            raise ValueError(f"not a binary string: {excerpt(text)}")
-        return cls(int(c) for c in text)
+            raise InvalidSequence(f"not a binary string: {excerpt(text)}")
+        return cls(text)
 
     @property
-    def period(self) -> int:
-        return len(self.bits)
-
-    @property
-    def value(self) -> int:
-        """The 2-adic value sigma = sum of bits[lambda] * 2^lambda."""
-        if self._value is None:
-            v = 0
-            for i, b in enumerate(self.bits):
-                v |= b << i
-            object.__setattr__(self, "_value", v)
-        return self._value
+    def bits(self) -> tuple[int, ...]:
+        """(s_0, ..., s_(n-1)), derived from the value."""
+        return tuple(map(int, str(self)))
 
     def shift(self, tau: int) -> "BinarySequence":
         """Cyclic shift: bit lambda of the result is bit lambda+tau of self."""
@@ -63,23 +76,27 @@ class BinarySequence:
             raise TauOutOfRange(f"tau={tau} outside 0..{n - 1}")
         if tau == 0:
             return self
-        return BinarySequence(self.bits[tau:] + self.bits[:tau])
+        return BinarySequence._from_value(rotate_value(self.value, tau, n), n)
 
     def pattern_count(self, pattern) -> int:
         """Number of cyclic positions where the window equals the pattern."""
-        pattern = tuple(int(b) for b in pattern)
+        pattern = [int(b) for b in pattern]
         n = self.period
         l = len(pattern)
         if l == 0:
-            raise ValueError("pattern must be nonempty")
+            raise InvalidSequence("pattern must be nonempty")
         if l > n:
             raise PatternTooLong(f"pattern length {l} exceeds period {n}")
-        bits = self.bits
-        count = 0
-        for i in range(n):
-            if all(bits[(i + j) % n] == pattern[j] for j in range(l)):
-                count += 1
-        return count
+        if not set(pattern) <= {0, 1}:
+            raise InvalidSequence("pattern bits must be 0 or 1")
+        full = (1 << n) - 1
+        ones = self.value
+        zeros = ones ^ full
+        # bit i survives while the window starting at i matches pattern[:j+1]
+        hits = full
+        for j, b in enumerate(pattern):
+            hits &= rotate_value(ones if b else zeros, j, n)
+        return hits.bit_count()
 
     def classical_autocorr(self, tau: int) -> int:
         """sum over lambda of (-1)^(s_lambda + s_(lambda+tau))."""
@@ -92,28 +109,28 @@ class BinarySequence:
     def to_csv(self) -> str:
         """CSV export, header `lambda,bit` then one row per index."""
         lines = ["lambda,bit"]
-        lines.extend(f"{i},{b}" for i, b in enumerate(self.bits))
+        lines.extend(f"{i},{b}" for i, b in enumerate(str(self)))
         return "\n".join(lines)
 
     def __len__(self):
-        return len(self.bits)
+        return self.period
 
     def __getitem__(self, i: int) -> int:
-        return self.bits[i % len(self.bits)]
+        return (self.value >> (i % self.period)) & 1
 
     def __iter__(self):
-        return iter(self.bits)
+        return map(int, str(self))
 
     def __eq__(self, other):
         if not isinstance(other, BinarySequence):
             return NotImplemented
-        return self.bits == other.bits
+        return self.value == other.value and self.period == other.period
 
     def __hash__(self):
-        return hash(self.bits)
+        return hash((self.value, self.period))
 
     def __str__(self):
-        return "".join(str(b) for b in self.bits)
+        return format(self.value, f"0{self.period}b")[::-1]
 
     def __repr__(self):
         return f"BinarySequence({self})"
@@ -123,15 +140,16 @@ def m_sequence(ctx: GF2m) -> BinarySequence:
     """The m-sequence (T(pi^0), T(pi^1), ..., T(pi^(n-1))) for the given field.
 
     Iterates x <- x*pi with the reduction done by hand, so one period costs
-    O(n*m) bit operations plus n trace inner products.
+    O(n*m) bit operations plus n trace inner products; the traces go into
+    one byte each and are packed into the value at the end.
     """
-    m, mod, n = ctx.m, ctx.modulus, ctx.n
+    m, mod, n, trace = ctx.m, ctx.modulus, ctx.n, ctx.trace
     top = 1 << m
-    bits = []
+    digits = bytearray(n)
     x = 1
-    for _ in range(n):
-        bits.append(ctx.trace(x))
+    for i in range(n):
+        digits[i] = trace(x)
         x <<= 1
         if x & top:
             x ^= mod
-    return BinarySequence(bits)
+    return BinarySequence._from_value(_pack(digits), n)

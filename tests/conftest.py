@@ -60,6 +60,27 @@ def naive_block_counts(a: BinarySequence, b: BinarySequence) -> dict:
     return counts
 
 
+def gap_scan_block_counts(a: BinarySequence, b: BinarySequence) -> dict:
+    """O(n) scan of the bit tuples: one window per cyclic gap between unequal columns."""
+    n = a.period
+    abits, bbits = a.bits, b.bits
+    pos = [i for i in range(n) if abits[i] != bbits[i]]
+    counts = {}
+    k = len(pos)
+    for i in range(k):
+        p = pos[i]
+        q = pos[(i + 1) % k]
+        key = (abits[p], abits[q], (q - p - 1) % n)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def naive_pattern_count(seq: BinarySequence, pattern) -> int:
+    """Window-by-window comparison of the bit tuple against the pattern."""
+    bits, n, l = seq.bits, seq.period, len(pattern)
+    return sum(all(bits[(i + j) % n] == pattern[j] for j in range(l)) for i in range(n))
+
+
 def eq1_direct(a: BinarySequence, b: BinarySequence) -> int:
     """Signed correlation of a pair straight from the sigma difference."""
     n = a.period

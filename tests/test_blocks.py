@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from arithcorr import errors
 from arithcorr.blocks import autocorr_via_blocks, block_type_counts, g_of
-from arithcorr.gf2m import make_field
+from arithcorr.gf2m import find_primitive_polynomials, make_field
 from arithcorr.sequences import BinarySequence, m_sequence
-from conftest import eq1_direct, naive_block_counts
+from conftest import eq1_direct, gap_scan_block_counts, naive_block_counts
 
 bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
 
@@ -29,6 +29,23 @@ class TestBlockTypeCounts:
         table = block_type_counts(a, b)
         assert all(l == 0 for (_, _, l) in table)
         assert sum(table.values()) == 4
+
+    # a single unequal column is the longest gap, n-1, and its window wraps
+    # onto itself: rot(x, n) == x
+    @pytest.mark.parametrize("a, b", [("10", "11"), ("0110", "0100"), ("1011001", "0011001"), ("0" * 64, "0" * 63 + "1")])
+    def test_one_unequal_column(self, a, b):
+        a, b = BinarySequence.from_string(a), BinarySequence.from_string(b)
+        (p,) = [i for i in range(a.period) if a[i] != b[i]]
+        assert block_type_counts(a, b) == {(a[p], a[p], a.period - 1): 1}
+        assert block_type_counts(a, b) == naive_block_counts(a, b)
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_matches_gap_scan_oracle(self, m):
+        for poly in find_primitive_polynomials(m, 3):
+            seq = m_sequence(make_field(m, poly))
+            for tau in range(1, seq.period):
+                b = seq.shift(tau)
+                assert block_type_counts(seq, b) == gap_scan_block_counts(seq, b)
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_no_blocks_at_l_ge_m_for_m_sequences(self, m):
@@ -55,6 +72,7 @@ class TestBlockTypeCounts:
             return
         a, b = pair
         assert block_type_counts(a, b) == naive_block_counts(a, b)
+        assert block_type_counts(a, b) == gap_scan_block_counts(a, b)
 
     @settings(max_examples=100)
     @given(bit_lists, st.data())

@@ -140,8 +140,8 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
-    # m = 13 samples 66 of its 8190 taus for the blocks route
-    @pytest.mark.parametrize("m, blocks, sampled", [(5, 30, False), (13, 66, True)])
+    # m = 15, above the exhaustive cap, samples 66 of its 32766 taus for the blocks route
+    @pytest.mark.parametrize("m, blocks, sampled", [(5, 30, False), (15, 66, True)])
     def test_three_way_coverage(self, capsys, m, blocks, sampled):
         code, out, _ = run(capsys, "verify", "--m-range", f"{m}..{m}", "--json")
         (row,) = [r for r in json.loads(out)["rows"] if r["check"] == "three_way"]

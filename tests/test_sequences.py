@@ -1,11 +1,13 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithcorr import errors
 from arithcorr.gf2m import make_field
 from arithcorr.sequences import BinarySequence, m_sequence, rotate_value
-from conftest import lfsr_m_sequence, random_sequence
+from conftest import lfsr_m_sequence, naive_pattern_count, random_sequence
 
 
 class TestConstruction:
@@ -24,6 +26,26 @@ class TestConstruction:
         with pytest.raises(ValueError) as info:
             BinarySequence.from_string("2" * 5000)
         assert len(str(info.value)) < 100
+
+    def test_errors_are_typed(self):
+        for bad in ([1], [0, 2], [0, -1], ["0", "x"]):
+            with pytest.raises(errors.InvalidSequence) as info:
+                BinarySequence(bad)
+            assert isinstance(info.value, errors.ArithCorrError)
+        with pytest.raises(errors.ArithCorrError):
+            BinarySequence.from_string("10a")
+        with pytest.raises(errors.ArithCorrError):
+            BinarySequence.from_string("101").pattern_count(())
+
+    def test_value_is_the_state(self):
+        seq = BinarySequence.from_string("1001011")
+        assert seq.value == 0b1101001
+        assert seq.period == len(seq) == 7
+        assert list(seq) == list(seq.bits)
+        assert seq == BinarySequence(seq.bits)
+        assert hash(seq) == hash(BinarySequence(seq.bits))
+        # leading zeros of the period are part of it
+        assert BinarySequence.from_string("10") != BinarySequence.from_string("100")
 
     def test_cyclic_indexing(self):
         seq = BinarySequence.from_string("1001011")
@@ -112,6 +134,15 @@ class TestPatternCount:
             seq.pattern_count((1, 0, 1, 0))
         with pytest.raises(ValueError):
             seq.pattern_count(())
+        with pytest.raises(errors.InvalidSequence):
+            seq.pattern_count((1, 2))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(0, 1), min_size=2, max_size=64), st.data())
+    def test_matches_naive_window_loop(self, bits, data):
+        seq = BinarySequence(bits)
+        pattern = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=len(bits)))
+        assert seq.pattern_count(pattern) == naive_pattern_count(seq, pattern)
 
 
 class TestClassicalAutocorr:
