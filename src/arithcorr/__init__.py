@@ -10,8 +10,6 @@ from .arith import arithmetic_autocorr, distribution, weight
 from .blocks import autocorr_via_blocks, block_type_counts, g_of
 from .closedform import (
     TauProfile,
-    brute_count_eq4,
-    brute_count_eq5,
     lemma4_count,
     predict_acorr,
     predict_distribution,
@@ -27,8 +25,6 @@ __all__ = [
     "arithmetic_autocorr",
     "autocorr_via_blocks",
     "block_type_counts",
-    "brute_count_eq4",
-    "brute_count_eq5",
     "distribution",
     "find_primitive_polynomials",
     "format_poly",

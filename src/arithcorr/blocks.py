@@ -72,17 +72,5 @@ def g_of(counts: dict[tuple[int, int, int], int]) -> int:
 
 
 def autocorr_via_blocks(a: BinarySequence, b: BinarySequence) -> int:
-    """A(M) = n - 2*g(M) for the matrix with rows a, b.
-
-    When no column equals (1,0) the rows are swapped and the result
-    negated (row swap negates the correlation).
-    """
-    n = a.period
-    if b.period != n:
-        raise PeriodMismatch(f"periods differ: {n} vs {b.period}")
-    x = a.value ^ b.value
-    if not a.value & x:
-        if not x:
-            raise EqualSequences("rows are identical")
-        return -autocorr_via_blocks(b, a)
-    return n - 2 * g_of(block_type_counts(a, b))
+    """A(M) = n - 2*g(M) for the matrix with rows a, b."""
+    return a.period - 2 * g_of(block_type_counts(a, b))

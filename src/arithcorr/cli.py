@@ -244,13 +244,17 @@ def _verify_field(ctx: GF2m, report: RunReport) -> None:
     report.rows.append({"check": "lemma1", "m": m, "poly": poly, "status": "pass" if not bad else "fail"})
     report.mismatches.extend(bad)
 
-    # counting identities by field enumeration, capped at m <= 8
+    # counting identities, capped at m <= 8: the closed forms against the
+    # block-type counts of the m-sequence and its tau-shift.  Walked in
+    # pi-power order, the trace conditions of eqs. (4)-(5) select exactly
+    # these windows: eq4[l] = N(0,0;l)+N(0,1;l), eq5[l] = N(1,0;l)+N(1,1;l).
     if m <= 8:
         bad = []
         quarter = 1 << (m - 2)
         for tau in range(1, n):
-            eq4 = [closedform.brute_count_eq4(ctx, tau, l) for l in range(m)]
-            eq5 = [closedform.brute_count_eq5(ctx, tau, l) for l in range(m)]
+            eq4, eq5 = [0] * m, [0] * m
+            for (alpha, _beta, l), c in blocks.block_type_counts(seq, seq.shift(tau)).items():
+                (eq5 if alpha else eq4)[l] += c
             if sum(eq4) != quarter or sum(eq5) != quarter:
                 bad.append({"check": "count_sums", "m": m, "poly": poly, "tau": tau})
             for l in range(1, m):

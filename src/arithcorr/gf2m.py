@@ -280,11 +280,11 @@ class GF2m:
             self._log, self._antilog = log, antilog
         return self._log, self._antilog
 
-    def expand_inverse_one_plus_pi_tau(self, tau: int) -> tuple[int, tuple[int, ...]]:
-        """Basis expansion of (1 + pi^tau)^-1 as (e, (b_0, ..., b_(e-1))).
+    def expand_inverse_one_plus_pi_tau(self, tau: int) -> int:
+        """The element (1 + pi^tau)^-1, as an int in this field's format.
 
-        e is the top nonzero index of the expansion (1 <= e <= m-1); the
-        coefficient of pi^e is implicitly 1.  With Zech's logarithm
+        Bit i is the coefficient b_i of pi^i over the polynomial basis, and
+        the top set bit is pi^e with 1 <= e <= m-1.  With Zech's logarithm
         1 + pi^tau = pi^Z(tau), the inverse is pi^(n - Z(tau)): two lookups
         in tables built on the first call.  inv(pow(2, tau) ^ 1) is the
         same element and serves as the test oracle.
@@ -293,9 +293,7 @@ class GF2m:
             raise TauOutOfRange(f"tau={tau} outside 1..{self.n - 1}")
         log, antilog = self._zech_tables()
         # 1 + pi^tau != 1, so Z(tau) = log[...] lies in 1..n-1
-        el = antilog[self.n - log[antilog[tau] ^ 1]]
-        e = el.bit_length() - 1
-        return e, tuple(el >> i & 1 for i in range(e))
+        return antilog[self.n - log[antilog[tau] ^ 1]]
 
     def __eq__(self, other):
         if not isinstance(other, GF2m):

@@ -15,6 +15,8 @@ from .gf2m import GF2m
 
 # bytes 0/1 to the ASCII digits int(..., 2) reads
 _ASCII_DIGITS = bytes.maketrans(b"\0\1", b"01")
+# bits per slice of CSV rows built before joining
+_CSV_SLICE = 4096
 
 
 def rotate_value(value: int, tau: int, n: int) -> int:
@@ -108,8 +110,12 @@ class BinarySequence:
 
     def to_csv(self) -> str:
         """CSV export, header `lambda,bit` then one row per index."""
+        # joined a slice at a time: one string object per bit costs about
+        # 60 bytes, the joined text about 10
+        text = str(self)
         lines = ["lambda,bit"]
-        lines.extend(f"{i},{b}" for i, b in enumerate(str(self)))
+        for lo in range(0, len(text), _CSV_SLICE):
+            lines.append("\n".join(f"{i},{b}" for i, b in enumerate(text[lo : lo + _CSV_SLICE], lo)))
         return "\n".join(lines)
 
     def __len__(self):

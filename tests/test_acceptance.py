@@ -12,16 +12,11 @@ import pytest
 
 from arithcorr.arith import arithmetic_autocorr, distribution
 from arithcorr.blocks import autocorr_via_blocks
-from arithcorr.closedform import (
-    brute_count_eq4,
-    brute_count_eq5,
-    lemma4_count,
-    predict_acorr,
-    predict_distribution,
-)
+from arithcorr.closedform import lemma4_count, predict_acorr, predict_distribution
 from arithcorr.errors import ShiftEqualsSequence
 from arithcorr.gf2m import find_primitive_polynomials, make_field
 from arithcorr.sequences import BinarySequence, m_sequence
+from conftest import gap_scan_block_counts
 
 
 def report(name, ok, extra=""):
@@ -117,10 +112,13 @@ def test_criterion_6_counting_lemmas():
     ok = True
     for m in range(3, 9):
         ctx = make_field(m)
+        seq = m_sequence(ctx)
         quarter = 1 << (m - 2)
         for tau in range(1, ctx.n):
-            eq4 = [brute_count_eq4(ctx, tau, l) for l in range(m)]
-            eq5 = [brute_count_eq5(ctx, tau, l) for l in range(m)]
+            # eq4[l] = N(0,0;l)+N(0,1;l), eq5[l] = N(1,0;l)+N(1,1;l)
+            eq4, eq5 = [0] * m, [0] * m
+            for (alpha, _beta, l), c in gap_scan_block_counts(seq, seq.shift(tau)).items():
+                (eq5 if alpha else eq4)[l] += c
             if sum(eq4) != quarter or sum(eq5) != quarter:
                 ok = False
             for l in range(1, m):

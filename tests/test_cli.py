@@ -249,3 +249,59 @@ def test_fuzz_poly_table(tmp_path_factory, content):
     table.write_bytes(content)
     with mock.patch.dict(os.environ, {"ARITHCORR_POLY_TABLE": str(table)}):
         assert run_quiet(["gen", "--m", "3"]) in (0, 2)
+
+
+small_ints = st.integers(-2, 8).map(str)
+# Arabic-Indic and fullwidth digits, which int() reads as 2..7
+non_ascii_digits = st.sampled_from("٢٣٤٥٦٧２３４５６７")
+numbers = (
+    small_ints
+    | st.integers(25, 10**30).map(str)
+    | non_ascii_digits
+    | st.sampled_from(["", "x", "0x", "0xZZ", "3.5", "1e3", "--"])
+)
+poly_args = numbers | st.sampled_from(["0xB", "0x13", "3,1,0", "4,1,0", "4,2,0", "3,3", "1000,0", "0xg"])
+ranges = st.builds("{}..{}".format, small_ints | non_ascii_digits, small_ints | non_ascii_digits)
+m_ranges = ranges | ranges | numbers | st.sampled_from(["..", "2..", "..3", "2...4"])
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["gen", "acorr", "dist", "verify", "bogus"]))
+    argv = [command]
+
+    def maybe(*flag, values=None, odds=1):
+        # leave the flag out one time in odds + 1
+        if draw(st.integers(0, odds)):
+            argv.extend(flag if values is None else [*flag, draw(values)])
+
+    if command == "verify":
+        maybe("--m-range", values=m_ranges, odds=9)
+        maybe("--polys", values=st.sampled_from(["default", "all", "some"]))
+    else:
+        maybe("--m", values=numbers, odds=9)
+        maybe("--poly", values=poly_args)
+    if command == "gen":
+        maybe("--format", values=st.sampled_from(["bits", "csv", "xml"]))
+    if command == "acorr":
+        argv.extend(draw(st.sampled_from([["--all"], ["--tau"], ["--all", "--tau"], []])))
+        if argv[-1] == "--tau":
+            argv.append(draw(numbers))
+        maybe("--method", values=st.sampled_from(["direct", "blocks", "closed", "all", "none"]))
+    if command == "dist":
+        maybe("--check")
+    maybe("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_fuzz_main_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    # argparse prefixes its one error line with a usage block; anything
+    # else on stderr is a single `error: ...` line
+    message = [line for line in err.getvalue().splitlines() if not line.startswith(("usage:", " "))]
+    assert len(message) <= 1, err.getvalue()

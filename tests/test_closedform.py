@@ -6,11 +6,9 @@ import pytest
 
 from arithcorr import errors
 from arithcorr.arith import arithmetic_autocorr, distribution
-from arithcorr.blocks import autocorr_via_blocks
+from arithcorr.blocks import autocorr_via_blocks, block_type_counts
 from arithcorr.closedform import (
     TauProfile,
-    brute_count_eq4,
-    brute_count_eq5,
     lemma4_count,
     predict_acorr,
     predict_distribution,
@@ -18,6 +16,18 @@ from arithcorr.closedform import (
 )
 from arithcorr.gf2m import GF2m, find_primitive_polynomials, make_field
 from arithcorr.sequences import m_sequence
+from conftest import gap_scan_block_counts
+
+
+def eq4_count(counts, l):
+    """N(0,0;l) + N(0,1;l) read off a block-type count dict."""
+    return counts.get((0, 0, l), 0) + counts.get((0, 1, l), 0)
+
+
+def shift_pairs(ctx):
+    """(tau, m-sequence, its tau-shift) for every tau of the field."""
+    seq = m_sequence(ctx)
+    return ((tau, seq, seq.shift(tau)) for tau in range(1, ctx.n))
 
 
 class TestPredictAcorr:
@@ -57,8 +67,9 @@ class TestPredictDistribution:
         assert all(dist[v] == dist[-v] for v in dist)
 
     def test_rejects_small_m(self):
-        with pytest.raises(ValueError):
-            predict_distribution(1)
+        for m in (1, 25):
+            with pytest.raises(errors.DegreeOutOfRange):
+                predict_distribution(m)
 
     @pytest.mark.parametrize("m", [17, 18])
     def test_closed_form_above_verify_cap(self, m):
@@ -82,7 +93,7 @@ class TestLemma4:
     def test_non_integer_count_is_typed(self, monkeypatch):
         # e = 3 cannot occur for m = 3; with l = 1 it leaves the prefactor
         # 2^(m-l-3) = 1/2 uncancelled
-        monkeypatch.setattr(GF2m, "expand_inverse_one_plus_pi_tau", lambda self, tau: (3, (0, 0, 0)))
+        monkeypatch.setattr(GF2m, "expand_inverse_one_plus_pi_tau", lambda self, tau: 8)
         with pytest.raises(errors.NonIntegerCount):
             lemma4_count(make_field(3), 1, 1)
 
@@ -92,40 +103,46 @@ class TestLemma4:
         ctx = make_field(5)
         seen = set()
         for tau in range(1, ctx.n):
-            e, b = ctx.expand_inverse_one_plus_pi_tau(tau)
-            if e == 1:
-                assert lemma4_count(ctx, tau, 1) == (0 if b[0] else 4)
-                seen.add(b[0])
+            el = ctx.expand_inverse_one_plus_pi_tau(tau)
+            if el >> 1 == 1:
+                assert lemma4_count(ctx, tau, 1) == (0 if el & 1 else 4)
+                seen.add(el & 1)
         assert seen == {0, 1}
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_matches_brute_force(self, m):
         ctx = make_field(m)
-        for tau in range(1, ctx.n):
+        for tau, a, b in shift_pairs(ctx):
+            counts = gap_scan_block_counts(a, b)
             for l in range(1, m):
-                assert lemma4_count(ctx, tau, l) == brute_count_eq4(ctx, tau, l)
+                assert lemma4_count(ctx, tau, l) == eq4_count(counts, l)
 
 
 class TestBruteCounts:
+    """The trace-condition counts of eqs. (4)-(5): walked in pi-power order
+    they are the block-type counts of the m-sequence against its tau-shift."""
+
     def test_frozen_m3(self):
-        ctx = make_field(3)
-        assert brute_count_eq4(ctx, 1, 2) == 1
-        assert brute_count_eq4(ctx, 1, 0) == 1
+        seq = m_sequence(make_field(3))
+        counts = block_type_counts(seq, seq.shift(1))
+        assert eq4_count(counts, 2) == 1
+        assert eq4_count(counts, 0) == 1
 
     def test_zero_for_l_ge_m(self):
-        ctx = make_field(4)
-        for tau in range(1, ctx.n):
-            for l in range(4, 8):
-                assert brute_count_eq4(ctx, tau, l) == 0
-                assert brute_count_eq5(ctx, tau, l) == 0
+        for m in range(2, 11):
+            for poly in find_primitive_polynomials(m, 3):
+                for _tau, a, b in shift_pairs(make_field(m, poly)):
+                    assert all(l < m for (_, _, l) in block_type_counts(a, b))
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_sums_are_quarter_field(self, m):
-        ctx = make_field(m)
         quarter = 1 << (m - 2)
-        for tau in range(1, ctx.n):
-            assert sum(brute_count_eq4(ctx, tau, l) for l in range(m)) == quarter
-            assert sum(brute_count_eq5(ctx, tau, l) for l in range(m)) == quarter
+        for poly in find_primitive_polynomials(m, 3):
+            for _tau, a, b in shift_pairs(make_field(m, poly)):
+                sums = [0, 0]
+                for (alpha, _, _), c in block_type_counts(a, b).items():
+                    sums[alpha] += c
+                assert sums == [quarter, quarter]
 
 
 class TestWeightedSum:
@@ -137,8 +154,7 @@ class TestWeightedSum:
     def test_frozen_m4(self):
         ctx = make_field(4)
         for tau in range(1, ctx.n):
-            e, b = ctx.expand_inverse_one_plus_pi_tau(tau)
-            if b[0] == 1 and e == 2:
+            if ctx.expand_inverse_one_plus_pi_tau(tau) in (0b101, 0b111):  # e = 2, b0 = 1
                 assert weighted_sum(ctx, tau) == 2
                 break
         else:
@@ -147,9 +163,9 @@ class TestWeightedSum:
     @pytest.mark.parametrize("m", range(2, 9))
     def test_matches_brute_force(self, m):
         ctx = make_field(m)
-        for tau in range(1, ctx.n):
-            brute = sum(l * brute_count_eq4(ctx, tau, l) for l in range(m))
-            assert weighted_sum(ctx, tau) == brute
+        for tau, a, b in shift_pairs(ctx):
+            counts = gap_scan_block_counts(a, b)
+            assert weighted_sum(ctx, tau) == sum(l * eq4_count(counts, l) for l in range(m))
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -178,9 +194,9 @@ def test_remark_correspondence(m):
     seq = m_sequence(ctx)
     for tau in range(1, ctx.n):
         value = arithmetic_autocorr(seq, tau)
-        e, b = ctx.expand_inverse_one_plus_pi_tau(tau)
-        assert abs(value) == (1 << (m - e)) - 1
-        assert (value > 0) == (b[0] == 1)
+        el = ctx.expand_inverse_one_plus_pi_tau(tau)
+        assert abs(value) == (1 << (m + 1 - el.bit_length())) - 1
+        assert (value > 0) == (el & 1 == 1)
 
 
 @pytest.mark.parametrize("m", range(3, 11))

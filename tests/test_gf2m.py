@@ -177,12 +177,10 @@ class TestTrace:
 
 
 class TestExpansion:
-    @pytest.mark.parametrize(
-        "tau, e, b",
-        [(1, 2, (0, 1)), (5, 1, (1,)), (3, 2, (1, 0))],
-    )
-    def test_frozen_m3(self, tau, e, b):
-        assert make_field(3).expand_inverse_one_plus_pi_tau(tau) == (e, b)
+    # bit i is b_i, the top bit pi^e: 6 = pi + pi^2, 3 = 1 + pi, 5 = 1 + pi^2
+    @pytest.mark.parametrize("tau, el", [(1, 6), (5, 3), (3, 5)])
+    def test_frozen_m3(self, tau, el):
+        assert make_field(3).expand_inverse_one_plus_pi_tau(tau) == el
 
     def test_tau_out_of_range(self):
         ctx = make_field(3)
@@ -193,21 +191,13 @@ class TestExpansion:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
     def test_bijection_onto_field_minus_01(self, m):
         ctx = make_field(m)
-        seen = set()
-        for tau in range(1, ctx.n):
-            e, b = ctx.expand_inverse_one_plus_pi_tau(tau)
-            assert 1 <= e <= m - 1
-            assert len(b) == e
-            el = (1 << e) | sum(bit << i for i, bit in enumerate(b))
-            seen.add(el)
+        seen = {ctx.expand_inverse_one_plus_pi_tau(tau) for tau in range(1, ctx.n)}
         assert seen == set(range(2, 1 << m))
 
 
 def oracle_expansion(ctx, tau):
-    """(1 + pi^tau)^-1 by square-and-multiply pow and inv, in the (e, b) form."""
-    el = ctx.inv(ctx.pow(2, tau) ^ 1)
-    e = el.bit_length() - 1
-    return e, tuple(el >> i & 1 for i in range(e))
+    """(1 + pi^tau)^-1 by square-and-multiply pow and inv."""
+    return ctx.inv(ctx.pow(2, tau) ^ 1)
 
 
 def spread_taus(n, count=200):
@@ -259,6 +249,19 @@ class TestPrimitiveSearch:
     def test_primitivity_predicate(self):
         assert is_primitive(0b1011)
         assert not is_primitive(0b11111)
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_matches_sympy(self, m):
+        # an independent oracle: sympy's GF(p)[x] irreducibility test, and
+        # the count phi(2^m - 1) / m of primitive polynomials of degree m
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_irreducible_p
+
+        for mask in range(1 << m, 1 << (m + 1)):
+            coeffs = [mask >> i & 1 for i in range(m, -1, -1)]
+            assert is_irreducible(mask) == gf_irreducible_p(coeffs, 2, ZZ)
+        assert len(find_primitive_polynomials(m, 1 << m)) == sympy.totient((1 << m) - 1) // m
 
 
 def test_context_equality_and_hash():

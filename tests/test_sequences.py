@@ -60,6 +60,15 @@ class TestConstruction:
     def test_csv_export(self):
         assert BinarySequence.from_string("011").to_csv() == "lambda,bit\n0,0\n1,1\n2,1"
 
+    def test_csv_export_past_one_slice(self):
+        # 16383 rows span four of to_csv's join slices
+        seq = m_sequence(make_field(14))
+        lines = seq.to_csv().split("\n")
+        assert lines[0] == "lambda,bit"
+        assert len(lines) == seq.period + 1
+        assert lines[1] == f"0,{seq[0]}" and lines[-1] == f"{seq.period - 1},{seq[-1]}"
+        assert lines[1:] == [f"{i},{seq[i]}" for i in range(seq.period)]
+
 
 class TestMSequence:
     def test_m3(self):
