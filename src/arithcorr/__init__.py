@@ -6,10 +6,9 @@ Three mathematically independent routes to the same quantity:
   - closedform: prediction from the basis expansion of (1 + pi^tau)^-1
 """
 
-from .arith import arithmetic_autocorr, distribution, weight
+from .arith import arithmetic_autocorr, distribution
 from .blocks import autocorr_via_blocks, block_type_counts, g_of
 from .closedform import (
-    TauProfile,
     lemma4_count,
     predict_acorr,
     predict_distribution,
@@ -21,7 +20,6 @@ from .sequences import BinarySequence, m_sequence
 __all__ = [
     "PRIMITIVE_POLYS",
     "BinarySequence",
-    "TauProfile",
     "arithmetic_autocorr",
     "autocorr_via_blocks",
     "block_type_counts",
@@ -35,6 +33,5 @@ __all__ = [
     "parse_poly",
     "predict_acorr",
     "predict_distribution",
-    "weight",
     "weighted_sum",
 ]

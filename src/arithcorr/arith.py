@@ -13,13 +13,6 @@ from .errors import ShiftEqualsSequence, TauOutOfRange
 from .sequences import BinarySequence, rotate_value
 
 
-def weight(x: int) -> int:
-    """2-adic weight: number of ones in the binary expansion."""
-    if x < 0:
-        raise ValueError("weight is defined for nonnegative integers")
-    return x.bit_count()
-
-
 def arithmetic_autocorr(seq: BinarySequence, tau: int) -> int:
     """Arithmetic autocorrelation of seq at shift tau, in [-(n-2), n-2]."""
     n = seq.period

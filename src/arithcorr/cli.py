@@ -13,6 +13,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import arith, blocks, closedform
 from .errors import ArithCorrError, PolynomialFormatError, excerpt
@@ -119,7 +120,7 @@ def cmd_acorr(args) -> int:
     route = {
         "direct": lambda tau: arith.arithmetic_autocorr(seq, tau),
         "blocks": lambda tau: blocks.autocorr_via_blocks(seq, seq.shift(tau)),
-        "closed": lambda tau: closedform.predict_acorr(ctx, tau).predicted_A,
+        "closed": lambda tau: closedform.predict_acorr(ctx, tau),
     }
     routes = [route[k] for k in methods]
     keys = ["tau"] + methods
@@ -168,10 +169,10 @@ def cmd_dist(args) -> int:
     return 0 if ok in (True, None) else 1
 
 
-def _sample_taus(n: int, limit: int = 64) -> list[int]:
-    if n - 1 <= limit:
+def _sample_taus(n: int) -> list[int]:
+    if n - 1 <= 64:
         return list(range(1, n))
-    step = (n - 1) // limit
+    step = (n - 1) // 64
     taus = list(range(1, n, step))
     if taus[-1] != n - 1:
         taus.append(n - 1)
@@ -179,99 +180,66 @@ def _sample_taus(n: int, limit: int = 64) -> list[int]:
 
 
 def _verify_field(ctx: GF2m, report: RunReport) -> None:
+    """Check one field in one pass over tau, then add each check's row and
+    mismatch records to the report."""
     m, n = ctx.m, ctx.n
     poly = f"0x{ctx.modulus:x}"
     seq = m_sequence(ctx)
+    checks = ["three_way", "lemma1"] + (["counting"] if m <= 8 else []) + ["distribution"]
+    bad = {check: [] for check in checks}
 
-    # three-way route agreement; the blocks route is sampled above
-    # THREE_WAY_EXHAUSTIVE_MAX_DEGREE, and the row says so.  The direct
-    # values also make up the distribution checked at the end.
+    def miss(check, kind, **detail):
+        bad[check].append({"check": kind, "m": m, "poly": poly, **detail})
+
+    # the blocks route is sampled above THREE_WAY_EXHAUSTIVE_MAX_DEGREE, and
+    # the three_way row says so; at m <= 8 it runs at every tau, and the
+    # counting identities are read off the same block counts
     block_taus = set(range(1, n)) if m <= THREE_WAY_EXHAUSTIVE_MAX_DEGREE else set(_sample_taus(n))
-    bad = []
+    quarter = 1 << (m - 2)
     dist = Counter()
     for tau in range(1, n):
         direct = arith.arithmetic_autocorr(seq, tau)
         dist[direct] += 1
-        closed = closedform.predict_acorr(ctx, tau).predicted_A
-        via_blocks = blocks.autocorr_via_blocks(seq, seq.shift(tau)) if tau in block_taus else None
+        closed = closedform.predict_acorr(ctx, tau)
+        counts = blocks.block_type_counts(seq, seq.shift(tau)) if tau in block_taus else None
+        via_blocks = None if counts is None else n - 2 * blocks.g_of(counts)
         if direct != closed or via_blocks not in (None, direct):
-            bad.append(
-                {
-                    "check": "three_way",
-                    "m": m,
-                    "poly": poly,
-                    "tau": tau,
-                    "direct": direct,
-                    "blocks": via_blocks,
-                    "closed": closed,
-                }
-            )
-    report.rows.append(
-        {
-            "check": "three_way",
-            "m": m,
-            "poly": poly,
-            "status": "pass" if not bad else "fail",
-            "taus_checked": {"direct": n - 1, "blocks": len(block_taus), "closed": n - 1},
-            "sampled": len(block_taus) < n - 1,
-        }
-    )
-    report.mismatches.extend(bad)
-
-    # classical pseudorandomness: ideal autocorrelation, pattern counts (m <= 8)
-    bad = []
-    for tau in range(1, n):
+            miss("three_way", "three_way", tau=tau, direct=direct, blocks=via_blocks, closed=closed)
         if seq.classical_autocorr(tau) != -1:
-            bad.append({"check": "classical", "m": m, "poly": poly, "tau": tau})
-    if m <= 8:
-        from itertools import product
+            miss("lemma1", "classical", tau=tau)
+        if m <= 8:
+            # walked in pi-power order, the trace conditions of eqs. (4)-(5)
+            # select exactly these windows: eq4[l] = N(0,0;l)+N(0,1;l),
+            # eq5[l] = N(1,0;l)+N(1,1;l)
+            eq4, eq5 = [0] * m, [0] * m
+            for (alpha, _beta, l), c in counts.items():
+                (eq5 if alpha else eq4)[l] += c
+            if sum(eq4) != quarter or sum(eq5) != quarter:
+                miss("counting", "count_sums", tau=tau)
+            for l in range(1, m):
+                if closedform.lemma4_count(ctx, tau, l) != eq4[l]:
+                    miss("counting", "closed_count", tau=tau, l=l)
+            if sum(l * c for l, c in enumerate(eq4)) != closedform.weighted_sum(ctx, tau):
+                miss("counting", "weighted_sum", tau=tau)
 
+    # lemma 1's pattern counts, and the full distribution against the closed form
+    if m <= 8:
         for l in range(1, m + 1):
             for pattern in product((0, 1), repeat=l):
                 expected = (1 << (m - l)) - 1 if not any(pattern) else 1 << (m - l)
                 got = seq.pattern_count(pattern)
                 if got != expected:
-                    bad.append(
-                        {
-                            "check": "pattern",
-                            "m": m,
-                            "poly": poly,
-                            "pattern": "".join(map(str, pattern)),
-                            "expected": expected,
-                            "got": got,
-                        }
-                    )
-    report.rows.append({"check": "lemma1", "m": m, "poly": poly, "status": "pass" if not bad else "fail"})
-    report.mismatches.extend(bad)
+                    miss("lemma1", "pattern", pattern="".join(map(str, pattern)), expected=expected, got=got)
+    if dist != closedform.predict_distribution(m):
+        miss("distribution", "distribution")
 
-    # counting identities, capped at m <= 8: the closed forms against the
-    # block-type counts of the m-sequence and its tau-shift.  Walked in
-    # pi-power order, the trace conditions of eqs. (4)-(5) select exactly
-    # these windows: eq4[l] = N(0,0;l)+N(0,1;l), eq5[l] = N(1,0;l)+N(1,1;l).
-    if m <= 8:
-        bad = []
-        quarter = 1 << (m - 2)
-        for tau in range(1, n):
-            eq4, eq5 = [0] * m, [0] * m
-            for (alpha, _beta, l), c in blocks.block_type_counts(seq, seq.shift(tau)).items():
-                (eq5 if alpha else eq4)[l] += c
-            if sum(eq4) != quarter or sum(eq5) != quarter:
-                bad.append({"check": "count_sums", "m": m, "poly": poly, "tau": tau})
-            for l in range(1, m):
-                if closedform.lemma4_count(ctx, tau, l) != eq4[l]:
-                    bad.append({"check": "closed_count", "m": m, "poly": poly, "tau": tau, "l": l})
-            if sum(l * c for l, c in enumerate(eq4)) != closedform.weighted_sum(ctx, tau):
-                bad.append({"check": "weighted_sum", "m": m, "poly": poly, "tau": tau})
-        report.rows.append(
-            {"check": "counting", "m": m, "poly": poly, "status": "pass" if not bad else "fail"}
-        )
-        report.mismatches.extend(bad)
-
-    # full distribution against the closed-form prediction
-    ok = dist == closedform.predict_distribution(m)
-    if not ok:
-        report.mismatches.append({"check": "distribution", "m": m, "poly": poly})
-    report.rows.append({"check": "distribution", "m": m, "poly": poly, "status": "pass" if ok else "fail"})
+    for check, records in bad.items():
+        row = {"check": check, "m": m, "poly": poly, "status": "fail" if records else "pass"}
+        if check == "three_way":
+            row["taus_checked"] = {"direct": n - 1, "blocks": len(block_taus), "closed": n - 1}
+            row["sampled"] = len(block_taus) < n - 1
+        report.rows.append(row)
+        report.mismatches.extend(records)
 
 
 def cmd_verify(args) -> int:

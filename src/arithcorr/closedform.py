@@ -11,29 +11,18 @@ its tau-shift, which is what the counting check compares them with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LOutOfRange, NonIntegerCount
 from .gf2m import GF2m, _check_degree
 
 
-@dataclass(frozen=True)
-class TauProfile:
-    """Expansion data and predicted correlation for one shift."""
-
-    tau: int
-    e: int
-    b0: int
-    predicted_A: int
-
-
-def predict_acorr(ctx: GF2m, tau: int) -> TauProfile:
+def predict_acorr(ctx: GF2m, tau: int) -> int:
     """Closed-form correlation at shift tau from the inverse expansion."""
     el = ctx.expand_inverse_one_plus_pi_tau(tau)
     e, b0 = el.bit_length() - 1, el & 1
     magnitude = (1 << (ctx.m - e)) - 1
-    return TauProfile(tau=tau, e=e, b0=b0, predicted_A=magnitude if b0 else -magnitude)
+    return magnitude if b0 else -magnitude
 
 
 def predict_distribution(m: int) -> dict[int, int]:

@@ -35,10 +35,6 @@ class NotPrimitive(ArithCorrError):
     """Modulus polynomial is irreducible but its root does not generate the multiplicative group."""
 
 
-class ZeroInverse(ArithCorrError):
-    """Multiplicative inverse of zero requested."""
-
-
 class TauOutOfRange(ArithCorrError):
     """Shift amount tau outside the valid range."""
 

@@ -17,7 +17,6 @@ from .errors import (
     NotPrimitive,
     PolynomialFormatError,
     TauOutOfRange,
-    ZeroInverse,
     excerpt,
 )
 
@@ -242,22 +241,6 @@ class GF2m:
             mask |= acc << i
         return mask
 
-    def mul(self, a: int, b: int) -> int:
-        """Product a*b in GF(2^m)."""
-        return _polymulmod(a, b, self.modulus)
-
-    def pow(self, a: int, k: int) -> int:
-        """a^k by square-and-multiply (0^0 = 1)."""
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        return _polypowmod(a, k, self.modulus)
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse, by exponentiation a^(2^m - 2)."""
-        if a == 0:
-            raise ZeroInverse("zero has no multiplicative inverse")
-        return _polypowmod(a, self.n - 1, self.modulus)
-
     def trace(self, a: int) -> int:
         """T(a) in {0,1}, as an inner product against the precomputed basis traces."""
         return (a & self._trace_mask).bit_count() & 1
@@ -286,8 +269,7 @@ class GF2m:
         Bit i is the coefficient b_i of pi^i over the polynomial basis, and
         the top set bit is pi^e with 1 <= e <= m-1.  With Zech's logarithm
         1 + pi^tau = pi^Z(tau), the inverse is pi^(n - Z(tau)): two lookups
-        in tables built on the first call.  inv(pow(2, tau) ^ 1) is the
-        same element and serves as the test oracle.
+        in tables built on the first call.
         """
         if not 1 <= tau <= self.n - 1:
             raise TauOutOfRange(f"tau={tau} outside 1..{self.n - 1}")

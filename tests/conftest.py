@@ -9,12 +9,48 @@ from arithcorr.gf2m import GF2m
 from arithcorr.sequences import BinarySequence
 
 
+def field_mul(ctx: GF2m, a: int, b: int) -> int:
+    """a*b in ctx's field by shift-and-add, reducing a at each doubling.
+
+    Shares no code with gf2m, whose products are a carry-less multiply
+    followed by one polynomial reduction.
+    """
+    top = 1 << ctx.m
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= ctx.modulus
+    return r
+
+
+def field_pow(ctx: GF2m, a: int, k: int) -> int:
+    """a^k by square-and-multiply (0^0 = 1)."""
+    r = 1
+    while k:
+        if k & 1:
+            r = field_mul(ctx, r, a)
+        a = field_mul(ctx, a, a)
+        k >>= 1
+    return r
+
+
+def field_inv(ctx: GF2m, a: int) -> int:
+    """Multiplicative inverse, by exponentiation a^(2^m - 2)."""
+    if a == 0:
+        raise ZeroDivisionError("zero has no multiplicative inverse")
+    return field_pow(ctx, a, ctx.n - 1)
+
+
 def trace_by_squaring(ctx: GF2m, a: int) -> int:
     """Trace by its defining sum a + a^2 + ... + a^(2^(m-1))."""
     acc = a
     cur = a
     for _ in range(ctx.m - 1):
-        cur = ctx.mul(cur, cur)
+        cur = field_mul(ctx, cur, cur)
         acc ^= cur
     assert acc in (0, 1)
     return acc
@@ -32,7 +68,7 @@ def lfsr_m_sequence(ctx: GF2m) -> BinarySequence:
     x = 1
     for _ in range(m):
         state.append(ctx.trace(x))
-        x = ctx.mul(x, 2)
+        x = field_mul(ctx, x, 2)
     bits = list(state)
     for i in range(n - m):
         nxt = 0

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithcorr import errors
-from arithcorr.arith import arithmetic_autocorr, distribution, weight
+from arithcorr.arith import arithmetic_autocorr, distribution
 from arithcorr.gf2m import make_field
 from arithcorr.sequences import BinarySequence, m_sequence
 
@@ -15,18 +15,6 @@ class TestSigmaWeight:
         assert BinarySequence.from_string("1001011").value == 105
         assert BinarySequence.from_string("0010111").value == 116
         assert BinarySequence([0] * 9).value == 0
-
-    def test_weight_frozen(self):
-        assert weight(11) == 3
-        assert weight(0) == 0
-
-    def test_weight_negative_rejected(self):
-        with pytest.raises(ValueError):
-            weight(-1)
-
-    @given(st.integers(0, 1 << 80), st.integers(1, 40))
-    def test_weight_shift_invariant(self, a, l):
-        assert weight(a << l) == weight(a)
 
 
 class TestArithmeticAutocorr:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arithcorr import arith
+from arithcorr import arith, blocks, closedform
 from arithcorr.cli import main
+from arithcorr.sequences import BinarySequence
 
 
 def run(capsys, *argv):
@@ -156,17 +157,152 @@ class TestVerify:
         assert out.splitlines()[:2] == ["check,m,poly,status", "three_way,5,0x25,pass"]
 
     def test_direct_route_once_per_tau(self, capsys, monkeypatch):
-        calls = []
-        original = arith.arithmetic_autocorr
+        # the block counts, too, are built once per tau and shared by the
+        # blocks route and the counting check
+        calls = {"direct": [], "blocks": 0}
+        direct, counts = arith.arithmetic_autocorr, blocks.block_type_counts
 
-        def counted(seq, tau):
-            calls.append(tau)
-            return original(seq, tau)
+        def counted_direct(seq, tau):
+            calls["direct"].append(tau)
+            return direct(seq, tau)
 
-        monkeypatch.setattr(arith, "arithmetic_autocorr", counted)
+        def counted_blocks(a, b):
+            calls["blocks"] += 1
+            return counts(a, b)
+
+        monkeypatch.setattr(arith, "arithmetic_autocorr", counted_direct)
+        monkeypatch.setattr(blocks, "block_type_counts", counted_blocks)
         code, _, _ = run(capsys, "verify", "--m-range", "5..5")
         assert code == 0
-        assert sorted(calls) == list(range(1, 31))
+        assert sorted(calls["direct"]) == list(range(1, 31))
+        assert calls["blocks"] == 30
+
+    @pytest.fixture
+    def broken_routes(self, monkeypatch):
+        """Closed form off at tau = 2, classical autocorrelation at tau = 3,
+        and the eq. (4) count at tau = 4, l = 2, in every field."""
+        predict, classical, lemma4 = (
+            closedform.predict_acorr,
+            BinarySequence.classical_autocorr,
+            closedform.lemma4_count,
+        )
+        monkeypatch.setattr(closedform, "predict_acorr", lambda ctx, tau: predict(ctx, tau) + (tau == 2))
+        monkeypatch.setattr(BinarySequence, "classical_autocorr", lambda self, tau: classical(self, tau) + (tau == 3))
+        monkeypatch.setattr(
+            closedform, "lemma4_count", lambda ctx, tau, l: lemma4(ctx, tau, l) + ((tau, l) == (4, 2))
+        )
+
+    def test_failing_run_csv_frozen(self, capsys, broken_routes):
+        code, out, err = run(capsys, "verify", "--m-range", "3..5")
+        assert (code, err) == (1, "")
+        assert out == FAILING_VERIFY_CSV
+
+    def test_failing_run_json_frozen(self, capsys, broken_routes):
+        code, out, err = run(capsys, "verify", "--m-range", "3..5", "--json")
+        assert (code, err) == (1, "")
+        assert out == json.dumps(FAILING_VERIFY_DOC) + "\n"
+
+    def test_failing_counting_pattern_distribution_frozen(self, capsys, monkeypatch):
+        predict, weighted = closedform.predict_distribution, closedform.weighted_sum
+        pattern_count, counts = BinarySequence.pattern_count, blocks.block_type_counts
+
+        def extra_window(a, b):
+            # a window with no interior columns leaves g, and so the blocks
+            # route, unchanged, but the eq. (4) windows no longer sum to 2^(m-2)
+            c = counts(a, b)
+            return {**c, (0, 0, 0): c.get((0, 0, 0), 0) + 1} if b == a.shift(3) else c
+
+        monkeypatch.setattr(closedform, "weighted_sum", lambda ctx, tau: weighted(ctx, tau) + (tau == 5))
+        monkeypatch.setattr(BinarySequence, "pattern_count", lambda self, p: pattern_count(self, p) + (p == (1, 1)))
+        monkeypatch.setattr(blocks, "block_type_counts", extra_window)
+        monkeypatch.setattr(closedform, "predict_distribution", lambda m: predict(m) if m == 3 else {})
+        code, out, err = run(capsys, "verify", "--m-range", "3..4")
+        assert (code, err) == (1, "")
+        assert out == FAILING_COUNTS_CSV
+
+
+# `verify --m-range 3..5` with the routes broken as in `broken_routes`
+FAILING_VERIFY_CSV = """\
+check,m,poly,status
+three_way,3,0xb,fail
+lemma1,3,0xb,fail
+counting,3,0xb,fail
+distribution,3,0xb,pass
+three_way,4,0x13,fail
+lemma1,4,0x13,fail
+counting,4,0x13,fail
+distribution,4,0x13,pass
+three_way,5,0x25,fail
+lemma1,5,0x25,fail
+counting,5,0x25,fail
+distribution,5,0x25,pass
+mismatch,check=three_way;m=3;poly=0xb;tau=2;direct=-3;blocks=-3;closed=-2
+mismatch,check=classical;m=3;poly=0xb;tau=3
+mismatch,check=closed_count;m=3;poly=0xb;tau=4;l=2
+mismatch,check=three_way;m=4;poly=0x13;tau=2;direct=1;blocks=1;closed=2
+mismatch,check=classical;m=4;poly=0x13;tau=3
+mismatch,check=closed_count;m=4;poly=0x13;tau=4;l=2
+mismatch,check=three_way;m=5;poly=0x25;tau=2;direct=1;blocks=1;closed=2
+mismatch,check=classical;m=5;poly=0x25;tau=3
+mismatch,check=closed_count;m=5;poly=0x25;tau=4;l=2
+status,fail
+"""
+
+# `verify --m-range 3..4` with the counts, one pattern count and the m = 4
+# distribution broken as in `test_failing_counting_pattern_distribution_frozen`
+FAILING_COUNTS_CSV = """\
+check,m,poly,status
+three_way,3,0xb,pass
+lemma1,3,0xb,fail
+counting,3,0xb,fail
+distribution,3,0xb,pass
+three_way,4,0x13,pass
+lemma1,4,0x13,fail
+counting,4,0x13,fail
+distribution,4,0x13,fail
+mismatch,check=pattern;m=3;poly=0xb;pattern=11;expected=2;got=3
+mismatch,check=count_sums;m=3;poly=0xb;tau=3
+mismatch,check=weighted_sum;m=3;poly=0xb;tau=5
+mismatch,check=pattern;m=4;poly=0x13;pattern=11;expected=4;got=5
+mismatch,check=count_sums;m=4;poly=0x13;tau=3
+mismatch,check=weighted_sum;m=4;poly=0x13;tau=5
+mismatch,check=distribution;m=4;poly=0x13
+status,fail
+"""
+
+FAILING_VERIFY_DOC = {
+    "command": "verify",
+    "parameters": {"m_range": "3..5", "polys": "default"},
+    "rows": [
+        {"check": "three_way", "m": 3, "poly": "0xb", "status": "fail",
+         "taus_checked": {"direct": 6, "blocks": 6, "closed": 6}, "sampled": False},
+        {"check": "lemma1", "m": 3, "poly": "0xb", "status": "fail"},
+        {"check": "counting", "m": 3, "poly": "0xb", "status": "fail"},
+        {"check": "distribution", "m": 3, "poly": "0xb", "status": "pass"},
+        {"check": "three_way", "m": 4, "poly": "0x13", "status": "fail",
+         "taus_checked": {"direct": 14, "blocks": 14, "closed": 14}, "sampled": False},
+        {"check": "lemma1", "m": 4, "poly": "0x13", "status": "fail"},
+        {"check": "counting", "m": 4, "poly": "0x13", "status": "fail"},
+        {"check": "distribution", "m": 4, "poly": "0x13", "status": "pass"},
+        {"check": "three_way", "m": 5, "poly": "0x25", "status": "fail",
+         "taus_checked": {"direct": 30, "blocks": 30, "closed": 30}, "sampled": False},
+        {"check": "lemma1", "m": 5, "poly": "0x25", "status": "fail"},
+        {"check": "counting", "m": 5, "poly": "0x25", "status": "fail"},
+        {"check": "distribution", "m": 5, "poly": "0x25", "status": "pass"},
+    ],
+    "mismatches": [
+        {"check": "three_way", "m": 3, "poly": "0xb", "tau": 2, "direct": -3, "blocks": -3, "closed": -2},
+        {"check": "classical", "m": 3, "poly": "0xb", "tau": 3},
+        {"check": "closed_count", "m": 3, "poly": "0xb", "tau": 4, "l": 2},
+        {"check": "three_way", "m": 4, "poly": "0x13", "tau": 2, "direct": 1, "blocks": 1, "closed": 2},
+        {"check": "classical", "m": 4, "poly": "0x13", "tau": 3},
+        {"check": "closed_count", "m": 4, "poly": "0x13", "tau": 4, "l": 2},
+        {"check": "three_way", "m": 5, "poly": "0x25", "tau": 2, "direct": 1, "blocks": 1, "closed": 2},
+        {"check": "classical", "m": 5, "poly": "0x25", "tau": 3},
+        {"check": "closed_count", "m": 5, "poly": "0x25", "tau": 4, "l": 2},
+    ],
+    "status": "fail",
+}
 
 
 class TestEnvPolyTable:

@@ -13,7 +13,7 @@ from arithcorr.gf2m import (
     prime_factors,
 )
 from arithcorr.sequences import m_sequence
-from conftest import trace_by_squaring
+from conftest import field_inv, field_mul, field_pow, trace_by_squaring
 
 
 class TestParsing:
@@ -55,7 +55,7 @@ class TestMakeField:
         x = 1
         for _ in range(7):
             seen.add(x)
-            x = ctx.mul(x, 2)
+            x = field_mul(ctx, x, 2)
         assert seen == set(range(1, 8))
 
     def test_reducible_rejected(self):
@@ -106,46 +106,48 @@ class TestDefaultModuli:
 
 
 class TestArithmetic:
+    """The conftest field oracles, pinned to hand-checked values."""
+
     def test_mul_reduction(self):
         ctx = make_field(3)
         # pi * pi^2 = pi^3 = 1 + pi
-        assert ctx.mul(0b010, 0b100) == 0b011
+        assert field_mul(ctx, 0b010, 0b100) == 0b011
 
     def test_mul_identity_and_zero(self):
         ctx = make_field(5)
         for a in range(32):
-            assert ctx.mul(a, 1) == a
-            assert ctx.mul(a, 0) == 0
+            assert field_mul(ctx, a, 1) == a
+            assert field_mul(ctx, a, 0) == 0
 
     def test_inv_examples(self):
         ctx = make_field(3)
-        assert ctx.inv(0b011) == 0b110  # (1+pi)^-1 = pi + pi^2
-        assert ctx.inv(1) == 1
-        assert make_field(2).inv(0b10) == 0b11
+        assert field_inv(ctx, 0b011) == 0b110  # (1+pi)^-1 = pi + pi^2
+        assert field_inv(ctx, 1) == 1
+        assert field_inv(make_field(2), 0b10) == 0b11
 
     def test_inv_zero_raises(self):
-        with pytest.raises(errors.ZeroInverse):
-            make_field(3).inv(0)
+        with pytest.raises(ZeroDivisionError):
+            field_inv(make_field(3), 0)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8])
     def test_inv_is_inverse(self, m):
         ctx = make_field(m)
         for a in range(1, 1 << m):
-            assert ctx.mul(a, ctx.inv(a)) == 1
+            assert field_mul(ctx, a, field_inv(ctx, a)) == 1
 
     def test_pow_examples(self):
         ctx = make_field(3)
-        assert ctx.pow(2, 7) == 1
-        assert ctx.pow(2, 3) == 0b011
-        assert ctx.pow(0, 0) == 1
-        assert ctx.pow(5, 0) == 1
+        assert field_pow(ctx, 2, 7) == 1
+        assert field_pow(ctx, 2, 3) == 0b011
+        assert field_pow(ctx, 0, 0) == 1
+        assert field_pow(ctx, 5, 0) == 1
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8, 11])
     def test_primitivity_of_pi(self, m):
         ctx = make_field(m)
         for k in range(1, ctx.n):
-            assert ctx.pow(2, k) != 1
-        assert ctx.pow(2, ctx.n) == 1
+            assert field_pow(ctx, 2, k) != 1
+        assert field_pow(ctx, 2, ctx.n) == 1
 
 
 class TestTrace:
@@ -165,7 +167,7 @@ class TestTrace:
     def test_additive_and_frobenius(self, m):
         ctx = make_field(m)
         for a in range(1 << m):
-            assert ctx.trace(ctx.mul(a, a)) == ctx.trace(a)
+            assert ctx.trace(field_mul(ctx, a, a)) == ctx.trace(a)
             for b in range(1 << m):
                 assert ctx.trace(a ^ b) == ctx.trace(a) ^ ctx.trace(b)
 
@@ -196,8 +198,8 @@ class TestExpansion:
 
 
 def oracle_expansion(ctx, tau):
-    """(1 + pi^tau)^-1 by square-and-multiply pow and inv."""
-    return ctx.inv(ctx.pow(2, tau) ^ 1)
+    """(1 + pi^tau)^-1 by the square-and-multiply oracles."""
+    return field_inv(ctx, field_pow(ctx, 2, tau) ^ 1)
 
 
 def spread_taus(n, count=200):
