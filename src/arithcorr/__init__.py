@@ -7,7 +7,7 @@ Three mathematically independent routes to the same quantity:
 """
 
 from .arith import arithmetic_autocorr, distribution
-from .blocks import autocorr_via_blocks, block_type_counts, g_of
+from .blocks import autocorr_via_blocks, block_type_counts
 from .closedform import (
     lemma4_count,
     predict_acorr,
@@ -26,7 +26,6 @@ __all__ = [
     "distribution",
     "find_primitive_polynomials",
     "format_poly",
-    "g_of",
     "lemma4_count",
     "m_sequence",
     "make_field",

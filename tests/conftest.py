@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from arithcorr.blocks import block_type_counts
 from arithcorr.gf2m import GF2m
 from arithcorr.sequences import BinarySequence
 
@@ -109,6 +110,19 @@ def gap_scan_block_counts(a: BinarySequence, b: BinarySequence) -> dict:
         key = (abits[p], abits[q], (q - p - 1) % n)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def g_of(counts: dict) -> int:
+    """g = sum l*(N(0,0;l)+N(0,1;l)) + sum (N(1,0;l)+N(1,1;l))."""
+    g = 0
+    for (alpha, _beta, l), c in counts.items():
+        g += l * c if alpha == 0 else c
+    return g
+
+
+def blocks_from_counts(a: BinarySequence, b: BinarySequence) -> int:
+    """The blocks-route value n - 2*g read off the per-type window counts."""
+    return a.period - 2 * g_of(block_type_counts(a, b))
 
 
 def naive_pattern_count(seq: BinarySequence, pattern) -> int:

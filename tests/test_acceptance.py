@@ -37,21 +37,38 @@ def test_criterion_1_distribution_reproduction():
     report("1 distribution m=2..12", ok, f"{time.time() - start:.2f}s")
 
 
+def three_way_mismatches(fields):
+    mismatches = []
+    for ctx in fields:
+        seq = m_sequence(ctx)
+        for tau in range(1, ctx.n):
+            direct = arithmetic_autocorr(seq, tau)
+            via_blocks = autocorr_via_blocks(seq, seq.shift(tau))
+            closed = predict_acorr(ctx, tau)
+            if not direct == via_blocks == closed:
+                mismatches.append((ctx.m, hex(ctx.modulus), tau, direct, via_blocks, closed))
+    return mismatches
+
+
 def test_criterion_2_three_way_agreement():
     start = time.time()
-    mismatches = []
-    for m in range(2, 15):
-        for poly in find_primitive_polynomials(m, 3) if m <= 12 else [None]:
-            ctx = make_field(m, poly)
-            seq = m_sequence(ctx)
-            for tau in range(1, ctx.n):
-                direct = arithmetic_autocorr(seq, tau)
-                via_blocks = autocorr_via_blocks(seq, seq.shift(tau))
-                closed = predict_acorr(ctx, tau)
-                if not direct == via_blocks == closed:
-                    mismatches.append((m, hex(ctx.modulus), tau, direct, via_blocks, closed))
+    mismatches = three_way_mismatches(
+        make_field(m, poly) for m in range(2, 15) for poly in (find_primitive_polynomials(m, 3) if m <= 12 else [None])
+    )
     report(
         "2 three-way agreement m=2..12 x <=3 polys, m=13..14 default",
+        not mismatches,
+        f"{time.time() - start:.2f}s" if not mismatches else str(mismatches[:3]),
+    )
+
+
+@pytest.mark.slow
+def test_criterion_2_three_way_agreement_m15_m16():
+    # opt-in (pytest -m slow): verify samples the blocks route at these degrees
+    start = time.time()
+    mismatches = three_way_mismatches(make_field(m) for m in (15, 16))
+    report(
+        "2 three-way agreement at every tau, m=15..16 default",
         not mismatches,
         f"{time.time() - start:.2f}s" if not mismatches else str(mismatches[:3]),
     )

@@ -3,10 +3,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithcorr import errors
-from arithcorr.blocks import autocorr_via_blocks, block_type_counts, g_of
+from arithcorr.blocks import autocorr_via_blocks, block_type_counts
 from arithcorr.gf2m import find_primitive_polynomials, make_field
 from arithcorr.sequences import BinarySequence, m_sequence
-from conftest import eq1_direct, gap_scan_block_counts, naive_block_counts
+from conftest import (
+    blocks_from_counts,
+    eq1_direct,
+    g_of,
+    gap_scan_block_counts,
+    naive_block_counts,
+    random_sequence,
+)
 
 bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
 
@@ -15,6 +22,18 @@ def distinct_pair(bits_a, bits_b):
     a = BinarySequence(bits_a)
     b = BinarySequence(bits_b)
     return (a, b) if a.bits != b.bits else None
+
+
+def flip(seq: BinarySequence, p: int) -> BinarySequence:
+    bits = list(seq.bits)
+    bits[p] ^= 1
+    return BinarySequence(bits)
+
+
+def one_column_acorr(n: int, top_bit: int) -> int:
+    """A for a pair that differs only in a column whose top bit is top_bit:
+    its window holds all n - 1 equal columns, so g = n - 1 or 1."""
+    return n - 2 * (n - 1) if top_bit == 0 else n - 2
 
 
 class TestBlockTypeCounts:
@@ -110,6 +129,56 @@ class TestAutocorrViaBlocks:
         for tau in range(1, seq.period):
             b = seq.shift(tau)
             assert autocorr_via_blocks(seq, b) == -autocorr_via_blocks(b, seq)
+
+    def test_equal_sequences_rejected(self):
+        seq = BinarySequence.from_string("1010")
+        with pytest.raises(errors.EqualSequences):
+            autocorr_via_blocks(seq, seq)
+
+    def test_period_mismatch_rejected(self):
+        with pytest.raises(errors.PeriodMismatch):
+            autocorr_via_blocks(BinarySequence.from_string("101"), BinarySequence.from_string("1011"))
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_matches_counts_oracle(self, m):
+        for poly in find_primitive_polynomials(m, 3):
+            seq = m_sequence(make_field(m, poly))
+            for tau in range(1, seq.period):
+                b = seq.shift(tau)
+                assert autocorr_via_blocks(seq, b) == blocks_from_counts(seq, b)
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_one_unequal_column(self, n, rng):
+        a = random_sequence(rng, n)
+        for p in range(n):
+            b = flip(a, p)
+            assert autocorr_via_blocks(a, b) == one_column_acorr(n, a[p])
+            assert autocorr_via_blocks(b, a) == one_column_acorr(n, b[p])
+
+    def test_one_unequal_column_m16(self):
+        a = m_sequence(make_field(16))
+        n = a.period
+        positions = [0, 1, 2, 15, 16, n // 2, n - 2, n - 1]
+        assert {a[p] for p in positions} == {0, 1}
+        for p in positions:
+            b = flip(a, p)
+            assert autocorr_via_blocks(a, b) == one_column_acorr(n, a[p])
+            assert autocorr_via_blocks(b, a) == one_column_acorr(n, b[p])
+
+    @settings(max_examples=400)
+    @given(bit_lists, st.data())
+    def test_random_and_near_equal_pairs(self, bits_a, data):
+        n = len(bits_a)
+        if data.draw(st.booleans()):
+            flips = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+            bits_b = [bit ^ (i in flips) for i, bit in enumerate(bits_a)]
+        else:
+            bits_b = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        pair = distinct_pair(bits_a, bits_b)
+        if pair is None:
+            return
+        a, b = pair
+        assert autocorr_via_blocks(a, b) == blocks_from_counts(a, b) == eq1_direct(a, b)
 
     def test_only_01_columns_falls_back(self):
         # a <= b everywhere with at least one strict (0,1) column

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from arithcorr import arith, blocks, closedform
 from arithcorr.cli import main
-from arithcorr.sequences import BinarySequence
+from arithcorr.gf2m import make_field
+from arithcorr.sequences import BinarySequence, m_sequence
 
 
 def run(capsys, *argv):
@@ -219,6 +220,23 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--m-range", "3..4")
         assert (code, err) == (1, "")
         assert out == FAILING_COUNTS_CSV
+
+    def test_antisymmetry_failure_recorded(self, capsys, monkeypatch):
+        # with the sign of A(12) flipped at m = 4 (n = 15), A(15 - 3) = -A(3)
+        # fails once, reported at the smaller tau
+        direct = arith.arithmetic_autocorr
+        monkeypatch.setattr(
+            arith, "arithmetic_autocorr", lambda seq, tau: -direct(seq, tau) if tau == 12 else direct(seq, tau)
+        )
+        code, out, err = run(capsys, "verify", "--m-range", "4..4", "--json")
+        doc = json.loads(out)
+        assert (code, err) == (1, "")
+        (row,) = [r for r in doc["rows"] if r["check"] == "distribution"]
+        assert row["status"] == "fail"
+        a3 = direct(m_sequence(make_field(4)), 3)
+        assert [r for r in doc["mismatches"] if r["check"] == "antisymmetry"] == [
+            {"check": "antisymmetry", "m": 4, "poly": "0x13", "tau": 3, "direct": a3, "mirror": a3}
+        ]
 
 
 # `verify --m-range 3..5` with the routes broken as in `broken_routes`
