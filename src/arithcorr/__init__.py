@@ -14,11 +14,10 @@ from .closedform import (
     predict_distribution,
     weighted_sum,
 )
-from .gf2m import PRIMITIVE_POLYS, find_primitive_polynomials, format_poly, make_field, parse_poly
+from .gf2m import find_primitive_polynomials, format_poly, make_field, parse_poly
 from .sequences import BinarySequence, m_sequence
 
 __all__ = [
-    "PRIMITIVE_POLYS",
     "BinarySequence",
     "arithmetic_autocorr",
     "autocorr_via_blocks",

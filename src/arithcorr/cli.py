@@ -13,7 +13,6 @@ import os
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import product
 
 from . import arith, blocks, closedform
@@ -28,36 +27,13 @@ VERIFY_MAX_DEGREE = 16
 # Largest degree at which `verify` runs the blocks route at every tau; above it
 # the blocks route runs on spread sample taus and the three_way row says so
 THREE_WAY_EXHAUSTIVE_MAX_DEGREE = 14
+# Largest degree at which `verify` checks eqs. (4)-(5) and lemma 1's pattern counts
+COUNTING_MAX_DEGREE = 8
 # Timed on a 2-core x86-64 host with Python 3.11
 ALL_SHIFTS_COST = (
     "The direct route over all shifts (acorr --all, dist) does O(4^m) bit operations: "
     "about 17 s at m = 18, 5 min at m = 20 and hours at m = 24."
 )
-
-
-@dataclass
-class RunReport:
-    """Outcome of a batch command: per-check rows plus any mismatches."""
-
-    command: str
-    parameters: dict
-    rows: list = field(default_factory=list)
-    mismatches: list = field(default_factory=list)
-
-    @property
-    def status(self) -> str:
-        return "pass" if not self.mismatches else "fail"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "parameters": self.parameters,
-                "rows": self.rows,
-                "mismatches": self.mismatches,
-                "status": self.status,
-            }
-        )
 
 
 def _load_env_poly_table() -> dict[int, int]:
@@ -175,32 +151,23 @@ def cmd_dist(args) -> int:
     return 0 if ok in (True, None) else 1
 
 
-def _sample_taus(n: int) -> list[int]:
-    if n - 1 <= 64:
-        return list(range(1, n))
-    step = (n - 1) // 64
-    taus = list(range(1, n, step))
-    if taus[-1] != n - 1:
-        taus.append(n - 1)
-    return taus
-
-
-def _verify_field(ctx: GF2m, report: RunReport) -> None:
-    """Check one field in one pass over tau, then add each check's row and
-    mismatch records to the report."""
+def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
+    """Check one field in one pass over tau, then append each check's row and
+    mismatch records."""
     m, n = ctx.m, ctx.n
     poly = f"0x{ctx.modulus:x}"
     seq = m_sequence(ctx)
-    checks = ["three_way", "lemma1"] + (["counting"] if m <= 8 else []) + ["distribution"]
+    checks = ["three_way", "lemma1"] + (["counting"] if m <= COUNTING_MAX_DEGREE else []) + ["distribution"]
     bad = {check: [] for check in checks}
 
     def miss(check, kind, **detail):
         bad[check].append({"check": kind, "m": m, "poly": poly, **detail})
 
-    # the blocks route is sampled above THREE_WAY_EXHAUSTIVE_MAX_DEGREE, and
-    # the three_way row says so; at m <= 8 it runs at every tau, and the
-    # counting identities are read off the block counts of the same shift
-    block_taus = set(range(1, n)) if m <= THREE_WAY_EXHAUSTIVE_MAX_DEGREE else set(_sample_taus(n))
+    # above THREE_WAY_EXHAUSTIVE_MAX_DEGREE the blocks route runs at 64 spread
+    # taus plus n - 1, and the three_way row says so; the counting identities
+    # are read off the block counts of the same shift
+    step = 1 if m <= THREE_WAY_EXHAUSTIVE_MAX_DEGREE else (n - 1) // 64
+    block_taus = {*range(1, n, step), n - 1}
     quarter = 1 << (m - 2)
     directs = array("i", [0]) * n
     for tau in range(1, n):
@@ -212,7 +179,7 @@ def _verify_field(ctx: GF2m, report: RunReport) -> None:
             miss("three_way", "three_way", tau=tau, direct=direct, blocks=via_blocks, closed=closed)
         if seq.classical_autocorr(tau) != -1:
             miss("lemma1", "classical", tau=tau)
-        if m <= 8:
+        if m <= COUNTING_MAX_DEGREE:
             # walked in pi-power order, the trace conditions of eqs. (4)-(5)
             # select exactly these windows: eq4[l] = N(0,0;l)+N(0,1;l),
             # eq5[l] = N(1,0;l)+N(1,1;l)
@@ -228,7 +195,7 @@ def _verify_field(ctx: GF2m, report: RunReport) -> None:
                 miss("counting", "weighted_sum", tau=tau)
 
     # lemma 1's pattern counts, and the full distribution against the closed form
-    if m <= 8:
+    if m <= COUNTING_MAX_DEGREE:
         for l in range(1, m + 1):
             for pattern in product((0, 1), repeat=l):
                 expected = (1 << (m - l)) - 1 if not any(pattern) else 1 << (m - l)
@@ -248,8 +215,8 @@ def _verify_field(ctx: GF2m, report: RunReport) -> None:
         if check == "three_way":
             row["taus_checked"] = {"direct": n - 1, "blocks": len(block_taus), "closed": n - 1}
             row["sampled"] = len(block_taus) < n - 1
-        report.rows.append(row)
-        report.mismatches.extend(records)
+        rows.append(row)
+        mismatches.extend(records)
 
 
 def cmd_verify(args) -> int:
@@ -262,9 +229,7 @@ def cmd_verify(args) -> int:
     if not (MIN_DEGREE <= lo <= hi <= VERIFY_MAX_DEGREE):
         print(f"error: m-range {excerpt(args.m_range)} outside {MIN_DEGREE}..{VERIFY_MAX_DEGREE}", file=sys.stderr)
         return 2
-    report = RunReport(
-        command="verify", parameters={"m_range": args.m_range, "polys": args.polys}
-    )
+    rows, mismatches = [], []
     env_table = _load_env_poly_table()
     for m in range(lo, hi + 1):
         if args.polys == "all":
@@ -272,18 +237,20 @@ def cmd_verify(args) -> int:
         else:
             polys = [env_table.get(m)]
         for poly in polys:
-            _verify_field(make_field(m, poly), report)
+            _verify_field(make_field(m, poly), rows, mismatches)
+    status = "fail" if mismatches else "pass"
     if args.json:
-        print(report.to_json())
+        doc = {"command": "verify", "parameters": {"m_range": args.m_range, "polys": args.polys}}
+        print(json.dumps(doc | {"rows": rows, "mismatches": mismatches, "status": status}))
     else:
         print("check,m,poly,status")
-        for row in report.rows:
+        for row in rows:
             print(f"{row['check']},{row['m']},{row['poly']},{row['status']}")
-        for miss in report.mismatches:
+        for miss in mismatches:
             detail = ";".join(f"{k}={v}" for k, v in miss.items())
             print(f"mismatch,{detail}")
-        print(f"status,{report.status}")
-    return 0 if report.status == "pass" else 1
+        print(f"status,{status}")
+    return 1 if mismatches else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

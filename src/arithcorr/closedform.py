@@ -11,8 +11,6 @@ its tau-shift, which is what the counting check compares them with.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import LOutOfRange, NonIntegerCount
 from .gf2m import GF2m, _check_degree
 
@@ -45,8 +43,8 @@ def lemma4_count(ctx: GF2m, tau: int, l: int) -> int:
     """Closed-form count N(0,0;l) + N(0,1;l) for the m-sequence vs its tau-shift.
 
     The case formulas carry prefactors like 2^(m-l-3) that are fractional
-    for small m but always cancel; evaluated as exact rationals, and a
-    result that is not an integer raises NonIntegerCount.
+    for small m but always cancel; evaluated as an exact integer quotient,
+    and a remainder raises NonIntegerCount.
     """
     if not 1 <= l <= ctx.m - 1:
         raise LOutOfRange(f"l={l} outside 1..{ctx.m - 1}")
@@ -54,18 +52,18 @@ def lemma4_count(ctx: GF2m, tau: int, l: int) -> int:
     e, b0 = el.bit_length() - 1, el & 1
     sign = -1 if b0 else 1  # (-1)^b0
     if l == ctx.m - 1:
-        result = Fraction(1 + sign, 2)
+        num, den = 1 + sign, 2
     else:
-        pref = Fraction(1 << ctx.m, 1 << (l + 3))
         if l <= e - 2:
-            result = pref
+            k = 1
         elif l == e - 1:
-            result = pref * (1 - sign)
+            k = 1 - sign
         else:
-            result = pref * (1 + sign)
-    if result.denominator != 1:
-        raise NonIntegerCount(f"non-integer count {result} for m={ctx.m}, tau={tau}, l={l}")
-    return int(result)
+            k = 1 + sign
+        num, den = k << ctx.m, 1 << (l + 3)
+    if num % den:
+        raise NonIntegerCount(f"non-integer count {num}/{den} for m={ctx.m}, tau={tau}, l={l}")
+    return num // den
 
 
 def weighted_sum(ctx: GF2m, tau: int) -> int:

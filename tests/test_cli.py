@@ -366,6 +366,18 @@ class TestEnvPolyTable:
         assert "PolynomialFormatError" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_table_exits_2(self, capsys, tmp_path, monkeypatch, kind):
+        # open() raises FileNotFoundError or IsADirectoryError; main turns
+        # either OSError into one error line
+        path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
+        monkeypatch.setenv("ARITHCORR_POLY_TABLE", str(path))
+        code, out, err = run(capsys, "gen", "--m", "3")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "dist", "--m", "6", "--check")

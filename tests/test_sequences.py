@@ -159,6 +159,12 @@ class TestClassicalAutocorr:
         seq = m_sequence(make_field(4))
         assert seq.classical_autocorr(0) == 15
 
+    def test_out_of_range(self):
+        seq = m_sequence(make_field(4))
+        for tau in (-1, 15):
+            with pytest.raises(errors.TauOutOfRange):
+                seq.classical_autocorr(tau)
+
     @pytest.mark.parametrize("m", range(2, 9))
     def test_ideal_for_m_sequences(self, m):
         seq = m_sequence(make_field(m))
