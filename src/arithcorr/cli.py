@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import product
 
 from . import arith, blocks, closedform
-from .errors import ArithCorrError, PolynomialFormatError, excerpt
+from .errors import ArithCorrError, DegreeOutOfRange, PolynomialFormatError, RangeFormatError, TauOutOfRange, excerpt
 from .gf2m import MIN_DEGREE, GF2m, find_primitive_polynomials, format_poly, make_field, parse_poly
 from .sequences import m_sequence
 
@@ -96,6 +96,8 @@ def cmd_gen(args) -> int:
 
 def cmd_acorr(args) -> int:
     ctx = _resolve_field(args.m, args.poly)
+    if not args.all and not 1 <= args.tau <= ctx.n - 1:
+        raise TauOutOfRange(f"tau={args.tau} outside 1..{ctx.n - 1}")
     seq = m_sequence(ctx)
     methods = ["direct", "blocks", "closed"] if args.method == "all" else [args.method]
     taus = range(1, ctx.n) if args.all else [args.tau]
@@ -224,11 +226,9 @@ def cmd_verify(args) -> int:
         lo_text, _, hi_text = args.m_range.partition("..")
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
-        print(f"error: malformed m-range {excerpt(args.m_range)}, expected A..B", file=sys.stderr)
-        return 2
+        raise RangeFormatError(f"malformed m-range {excerpt(args.m_range)}, expected A..B") from None
     if not (MIN_DEGREE <= lo <= hi <= VERIFY_MAX_DEGREE):
-        print(f"error: m-range {excerpt(args.m_range)} outside {MIN_DEGREE}..{VERIFY_MAX_DEGREE}", file=sys.stderr)
-        return 2
+        raise DegreeOutOfRange(f"m-range {excerpt(args.m_range)} outside {MIN_DEGREE}..{VERIFY_MAX_DEGREE}")
     rows, mismatches = [], []
     env_table = _load_env_poly_table()
     for m in range(lo, hi + 1):

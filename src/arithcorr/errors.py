@@ -19,6 +19,10 @@ class PolynomialFormatError(ArithCorrError):
     """A polynomial string could not be parsed."""
 
 
+class RangeFormatError(ArithCorrError):
+    """A degree range string could not be parsed as A..B."""
+
+
 class DegreeOutOfRange(ArithCorrError):
     """Field degree m outside the supported range."""
 

@@ -23,25 +23,12 @@ from .errors import (
 MIN_DEGREE = 2
 MAX_DEGREE = 24
 
-# One standard primitive polynomial per degree (lowest-weight, lexicographically
-# small taps).  Every entry is re-verified by the GF2m constructor.  Degrees
-# above 16 default to the smallest primitive mask; the entries for 14 and 16
-# are not the smallest and are kept so that default output does not change.
+# The default modulus of degree m is the smallest primitive mask,
+# find_primitive_polynomials(m, 1)[0], except at 14 and 16, where older
+# defaults (the smallest masks are 0x402B and 0x1002D) are kept so that default
+# output does not change.  Every default is re-verified by the GF2m constructor.
 PRIMITIVE_POLYS = {
-    2: 0x7,       # x^2 + x + 1
-    3: 0xB,       # x^3 + x + 1
-    4: 0x13,      # x^4 + x + 1
-    5: 0x25,      # x^5 + x^2 + 1
-    6: 0x43,      # x^6 + x + 1
-    7: 0x83,      # x^7 + x + 1
-    8: 0x11D,     # x^8 + x^4 + x^3 + x^2 + 1
-    9: 0x211,     # x^9 + x^4 + 1
-    10: 0x409,    # x^10 + x^3 + 1
-    11: 0x805,    # x^11 + x^2 + 1
-    12: 0x1053,   # x^12 + x^6 + x^4 + x + 1
-    13: 0x201B,   # x^13 + x^4 + x^3 + x + 1
     14: 0x4443,   # x^14 + x^10 + x^6 + x + 1
-    15: 0x8003,   # x^15 + x + 1
     16: 0x1100B,  # x^16 + x^12 + x^3 + x + 1
 }
 
@@ -65,6 +52,8 @@ def parse_poly(text: str) -> int:
             mask = int(text, 16)
         except ValueError:
             raise PolynomialFormatError(f"bad hex polynomial {excerpt(text)}") from None
+        if not mask:
+            raise PolynomialFormatError(f"zero polynomial {excerpt(text)}")
         if mask.bit_length() - 1 > MAX_DEGREE:
             raise DegreeOutOfRange(f"degree {mask.bit_length() - 1} above {MAX_DEGREE}")
         return mask
@@ -228,7 +217,7 @@ class GF2m:
         self._log = self._antilog = None
 
     def _basis_traces(self) -> int:
-        # t_i = T(pi^i) by the defining sum of m-1 successive squarings
+        # t_i = T(pi^i), a bit, by the defining sum of m-1 successive squarings
         mask = 0
         for i in range(self.m):
             cur = 1 << i
@@ -236,8 +225,6 @@ class GF2m:
             for _ in range(self.m - 1):
                 cur = _polymulmod(cur, cur, self.modulus)
                 acc ^= cur
-            if acc not in (0, 1):
-                raise NotIrreducible(format_poly(self.modulus))
             mask |= acc << i
         return mask
 
@@ -276,14 +263,6 @@ class GF2m:
         log, antilog = self._zech_tables()
         # 1 + pi^tau != 1, so Z(tau) = log[...] lies in 1..n-1
         return antilog[self.n - log[antilog[tau] ^ 1]]
-
-    def __eq__(self, other):
-        if not isinstance(other, GF2m):
-            return NotImplemented
-        return self.m == other.m and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash((self.m, self.modulus))
 
     def __repr__(self):
         return f"GF2m(m={self.m}, poly={format_poly(self.modulus)})"

@@ -4,8 +4,8 @@ A BinarySequence is one period held as its 2-adic value
 sigma = sum of s_lambda * 2^lambda together with the period n: bit lambda
 of `value` is s_lambda.  That pair is the whole state.  A cyclic shift is a
 rotation of the value, pattern counts AND rotations of the value and its
-complement, and the bit tuple, the string and the CSV export are derived
-from the value on demand.
+complement, and iteration (so `tuple(seq)`), the string and the CSV export
+are derived from the value on demand.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ _CSV_SLICE = 4096
 
 def rotate_value(value: int, tau: int, n: int) -> int:
     """sigma of the tau-shift: bit lambda of the result is bit lambda+tau of value."""
-    if tau == 0:
-        return value
     return (value >> tau) | ((value & ((1 << tau) - 1)) << (n - tau))
 
 
@@ -65,11 +63,6 @@ class BinarySequence:
         if not set(text) <= {"0", "1"}:
             raise InvalidSequence(f"not a binary string: {excerpt(text)}")
         return cls(text)
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        """(s_0, ..., s_(n-1)), derived from the value."""
-        return tuple(map(int, str(self)))
 
     def shift(self, tau: int) -> "BinarySequence":
         """Cyclic shift: bit lambda of the result is bit lambda+tau of self."""

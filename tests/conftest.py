@@ -100,7 +100,7 @@ def naive_block_counts(a: BinarySequence, b: BinarySequence) -> dict:
 def gap_scan_block_counts(a: BinarySequence, b: BinarySequence) -> dict:
     """O(n) scan of the bit tuples: one window per cyclic gap between unequal columns."""
     n = a.period
-    abits, bbits = a.bits, b.bits
+    abits, bbits = tuple(a), tuple(b)
     pos = [i for i in range(n) if abits[i] != bbits[i]]
     counts = {}
     k = len(pos)
@@ -127,7 +127,7 @@ def blocks_from_counts(a: BinarySequence, b: BinarySequence) -> int:
 
 def naive_pattern_count(seq: BinarySequence, pattern) -> int:
     """Window-by-window comparison of the bit tuple against the pattern."""
-    bits, n, l = seq.bits, seq.period, len(pattern)
+    bits, n, l = tuple(seq), seq.period, len(pattern)
     return sum(all(bits[(i + j) % n] == pattern[j] for j in range(l)) for i in range(n))
 
 

@@ -21,11 +21,11 @@ bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
 def distinct_pair(bits_a, bits_b):
     a = BinarySequence(bits_a)
     b = BinarySequence(bits_b)
-    return (a, b) if a.bits != b.bits else None
+    return (a, b) if a != b else None
 
 
 def flip(seq: BinarySequence, p: int) -> BinarySequence:
-    bits = list(seq.bits)
+    bits = list(seq)
     bits[p] ^= 1
     return BinarySequence(bits)
 
@@ -101,7 +101,7 @@ class TestBlockTypeCounts:
         if pair is None:
             return
         a, b = pair
-        unequal = sum(1 for x, y in zip(a.bits, b.bits) if x != y)
+        unequal = sum(1 for x, y in zip(a, b) if x != y)
         assert sum(block_type_counts(a, b).values()) == unequal
 
 

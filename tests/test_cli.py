@@ -60,6 +60,12 @@ class TestGen:
         assert code == 2
         assert "DegreeOutOfRange" in err
 
+    @pytest.mark.parametrize("poly", ["0x0", "0x000"])
+    def test_zero_poly_named(self, capsys, poly):
+        code, out, err = run(capsys, "gen", "--m", "3", "--poly", poly)
+        assert (code, out) == (2, "")
+        assert err == f"error: PolynomialFormatError: zero polynomial '{poly}'\n"
+
     def test_long_bad_poly_error_is_short(self, capsys):
         code, _, err = run(capsys, "gen", "--m", "3", "--poly", "9" * 5000 + ",0")
         assert code == 2
@@ -82,6 +88,13 @@ class TestAcorr:
         code, _, err = run(capsys, "acorr", "--m", "3", "--tau", "0")
         assert code == 2
         assert "TauOutOfRange" in err
+
+    @pytest.mark.parametrize("tau", [0, 7])
+    def test_tau_out_of_range_same_for_every_method(self, capsys, tau):
+        for method in ["direct", "blocks", "closed", "all"]:
+            code, out, err = run(capsys, "acorr", "--m", "3", "--tau", str(tau), "--method", method)
+            assert (code, out) == (2, "")
+            assert err == f"error: TauOutOfRange: tau={tau} outside 1..6\n"
 
     @pytest.mark.parametrize("command", ["acorr", "dist"])
     def test_threads_is_unknown(self, capsys, command):
@@ -117,6 +130,17 @@ class TestDist:
         assert doc["distribution"]["7"] == 1
 
 
+# each bad `verify --m-range` and the one error line it gives
+BAD_M_RANGES = {
+    "5": "RangeFormatError: malformed m-range '5', expected A..B",
+    "5..": "RangeFormatError: malformed m-range '5..', expected A..B",
+    "a..b": "RangeFormatError: malformed m-range 'a..b', expected A..B",
+    "1..3": "DegreeOutOfRange: m-range '1..3' outside 2..16",
+    "9..8": "DegreeOutOfRange: m-range '9..8' outside 2..16",
+    "2..17": "DegreeOutOfRange: m-range '2..17' outside 2..16",
+}
+
+
 class TestVerify:
     def test_small_range_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--m-range", "2..5")
@@ -136,11 +160,11 @@ class TestVerify:
         assert doc["status"] == "pass"
         assert doc["mismatches"] == []
 
-    @pytest.mark.parametrize("bad", ["5", "5..", "a..b", "1..3", "9..8", "2..17"])
+    @pytest.mark.parametrize("bad", list(BAD_M_RANGES))
     def test_malformed_range_exits_2(self, capsys, bad):
-        code, _, err = run(capsys, "verify", "--m-range", bad)
-        assert code == 2
-        assert "error" in err
+        code, out, err = run(capsys, "verify", "--m-range", bad)
+        assert (code, out) == (2, "")
+        assert err == f"error: {BAD_M_RANGES[bad]}\n"
 
     # m = 15, above the exhaustive cap, samples 66 of its 32766 taus for the blocks route
     @pytest.mark.parametrize("m, blocks, sampled", [(5, 30, False), (15, 66, True)])
@@ -158,8 +182,8 @@ class TestVerify:
         assert out.splitlines()[:2] == ["check,m,poly,status", "three_way,5,0x25,pass"]
 
     def test_direct_route_once_per_tau(self, capsys, monkeypatch):
-        # the block counts, too, are built once per tau and shared by the
-        # blocks route and the counting check
+        # only the counting check reads block counts, once per tau; the
+        # blocks route computes g without them
         calls = {"direct": [], "blocks": 0}
         direct, counts = arith.arithmetic_autocorr, blocks.block_type_counts
 
