@@ -27,7 +27,8 @@ VERIFY_MAX_DEGREE = 16
 # Largest degree at which `verify` runs the blocks route at every tau; above it
 # the blocks route runs on spread sample taus and the three_way row says so
 THREE_WAY_EXHAUSTIVE_MAX_DEGREE = 14
-# Largest degree at which `verify` checks eqs. (4)-(5) and lemma 1's pattern counts
+# Largest degree at which `verify` checks eqs. (4)-(5) and lemma 1's pattern counts; at most
+# THREE_WAY_EXHAUSTIVE_MAX_DEGREE, as the check reads the blocks shift b, None at unsampled taus
 COUNTING_MAX_DEGREE = 8
 # Timed on a 2-core x86-64 host with Python 3.11
 ALL_SHIFTS_COST = (
@@ -39,8 +40,8 @@ ALL_SHIFTS_COST = (
 def _load_env_poly_table() -> dict[int, int]:
     """User polynomial table: UTF-8 lines `m,exponent-list`, '#' comments allowed.
 
-    A file that does not decode, a malformed line or a second line for the
-    same m raises PolynomialFormatError.
+    A file that does not decode, a malformed line, a line whose m is not its
+    polynomial's degree or a second line for the same m raises PolynomialFormatError.
     """
     path = os.environ.get(POLY_TABLE_ENV)
     if not path:
@@ -56,13 +57,13 @@ def _load_env_poly_table() -> dict[int, int]:
         if not line:
             continue
         head, _, rest = line.partition(",")
-        try:
-            m = int(head)
-        except ValueError:
-            raise PolynomialFormatError(f"bad table line {excerpt(raw)}") from None
+        poly = parse_poly(rest)
+        m = poly.bit_length() - 1
+        if head.strip() != str(m) or m < MIN_DEGREE:
+            raise PolynomialFormatError(f"table line {excerpt(raw)}: m must be the degree, at least {MIN_DEGREE}")
         if m in table:
             raise PolynomialFormatError(f"second table line for m={m}: {excerpt(raw)}")
-        table[m] = parse_poly(rest)
+        table[m] = poly
     return table
 
 
@@ -227,6 +228,8 @@ def cmd_verify(args) -> int:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise RangeFormatError(f"malformed m-range {excerpt(args.m_range)}, expected A..B") from None
+    if lo > hi:
+        raise RangeFormatError(f"empty m-range {excerpt(args.m_range)}, expected A <= B")
     if not (MIN_DEGREE <= lo <= hi <= VERIFY_MAX_DEGREE):
         raise DegreeOutOfRange(f"m-range {excerpt(args.m_range)} outside {MIN_DEGREE}..{VERIFY_MAX_DEGREE}")
     rows, mismatches = [], []

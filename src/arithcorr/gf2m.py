@@ -137,9 +137,9 @@ def prime_factors(n: int) -> list[int]:
 
 def is_irreducible(f: int) -> bool:
     """Whether f is irreducible over GF(2), via the Frobenius (Rabin) test."""
-    m = f.bit_length() - 1
-    if m < 1:
+    if f < 2:  # zero, one or a negative int: no polynomial of degree >= 1
         return False
+    m = f.bit_length() - 1
     if m == 1:
         return True
     if not f & 1:  # divisible by x
@@ -159,10 +159,12 @@ def is_irreducible(f: int) -> bool:
 
 
 def is_primitive(f: int) -> bool:
-    """Whether the root of an irreducible f generates the multiplicative group.
+    """Whether f is irreducible and its root generates the multiplicative group.
 
     Checks x^((2^m - 1)/p) != 1 mod f for every prime divisor p of 2^m - 1.
     """
+    if not (f & 1 and is_irreducible(f)):  # x is irreducible, but its root is 0
+        return False
     m = f.bit_length() - 1
     n = (1 << m) - 1
     for p in prime_factors(n):
@@ -180,7 +182,7 @@ def find_primitive_polynomials(m: int, count: int) -> list[int]:
     _check_degree(m)
     found = []
     for mask in range((1 << m) | 1, 1 << (m + 1), 2):
-        if is_irreducible(mask) and is_primitive(mask):
+        if is_primitive(mask):
             found.append(mask)
             if len(found) == count:
                 break
@@ -202,14 +204,12 @@ class GF2m:
         _check_degree(m)
         if poly is None:
             poly = PRIMITIVE_POLYS.get(m) or find_primitive_polynomials(m, 1)[0]
+        if not isinstance(poly, int) or poly < 1:
+            raise DegreeMismatch(f"modulus is not a positive int, expected a polynomial of degree {m}")
         if poly.bit_length() - 1 != m:
-            raise DegreeMismatch(
-                f"polynomial {format_poly(poly)} has degree {poly.bit_length() - 1}, expected {m}"
-            )
-        if not is_irreducible(poly):
-            raise NotIrreducible(format_poly(poly))
+            raise DegreeMismatch(f"polynomial {format_poly(poly)} has degree {poly.bit_length() - 1}, expected {m}")
         if not is_primitive(poly):
-            raise NotPrimitive(format_poly(poly))
+            raise (NotPrimitive if is_irreducible(poly) else NotIrreducible)(format_poly(poly))
         self.m = m
         self.modulus = poly
         self.n = (1 << m) - 1

@@ -10,9 +10,11 @@ are derived from the value on demand.
 
 from __future__ import annotations
 
-from .errors import InvalidSequence, PatternTooLong, TauOutOfRange, excerpt
+from .errors import InvalidSequence, PatternTooLong, TauOutOfRange
 from .gf2m import GF2m
 
+# The values that count as bits (True and False are 1 and 0 as keys)
+_BITS = {0: 0, 1: 1, "0": 0, "1": 1}
 # bytes 0/1 to the ASCII digits int(..., 2) reads
 _ASCII_DIGITS = bytes.maketrans(b"\0\1", b"01")
 # bits per slice of CSV rows built before joining
@@ -24,25 +26,28 @@ def rotate_value(value: int, tau: int, n: int) -> int:
     return (value >> tau) | ((value & ((1 << tau) - 1)) << (n - tau))
 
 
+def _bit_bytes(bits) -> bytes:
+    """One byte 0 or 1 per item of bits; anything but a key of _BITS raises InvalidSequence."""
+    try:
+        return bytes(map(_BITS.__getitem__, bits))
+    except (KeyError, TypeError):  # not a bit, unhashable, or not iterable
+        raise InvalidSequence("bits must be 0, 1, '0' or '1'") from None
+
+
 def _pack(digits) -> int:
     """The int whose bit i is digits[i], for a bytes-like of 0s and 1s."""
     return int(digits[::-1].translate(_ASCII_DIGITS), 2)
 
 
 class BinarySequence:
-    """One period of a binary sequence; immutable, cyclically indexed."""
+    """One period of bits 0, 1, "0" or "1", index 0 first; immutable, cyclically indexed."""
 
     __slots__ = ("value", "period")
 
     def __init__(self, bits):
-        try:
-            digits = bytes(map(int, bits))
-        except ValueError:
-            raise InvalidSequence("bits must be 0 or 1") from None
+        digits = _bit_bytes(bits)
         if len(digits) < 2:
             raise InvalidSequence("period must be at least 2")
-        if digits.translate(None, b"\0\1"):
-            raise InvalidSequence("bits must be 0 or 1")
         object.__setattr__(self, "value", _pack(digits))
         object.__setattr__(self, "period", len(digits))
 
@@ -57,13 +62,6 @@ class BinarySequence:
     def __setattr__(self, name, value):
         raise AttributeError("BinarySequence is immutable")
 
-    @classmethod
-    def from_string(cls, text: str) -> "BinarySequence":
-        """Parse a '0'/'1' string, index 0 leftmost."""
-        if not set(text) <= {"0", "1"}:
-            raise InvalidSequence(f"not a binary string: {excerpt(text)}")
-        return cls(text)
-
     def shift(self, tau: int) -> "BinarySequence":
         """Cyclic shift: bit lambda of the result is bit lambda+tau of self."""
         n = self.period
@@ -75,15 +73,13 @@ class BinarySequence:
 
     def pattern_count(self, pattern) -> int:
         """Number of cyclic positions where the window equals the pattern."""
-        pattern = [int(b) for b in pattern]
+        pattern = _bit_bytes(pattern)
         n = self.period
         l = len(pattern)
         if l == 0:
             raise InvalidSequence("pattern must be nonempty")
         if l > n:
             raise PatternTooLong(f"pattern length {l} exceeds period {n}")
-        if not set(pattern) <= {0, 1}:
-            raise InvalidSequence("pattern bits must be 0 or 1")
         full = (1 << n) - 1
         ones = self.value
         zeros = ones ^ full

@@ -12,27 +12,27 @@ bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
 
 class TestSigmaWeight:
     def test_sigma_frozen(self):
-        assert BinarySequence.from_string("1001011").value == 105
-        assert BinarySequence.from_string("0010111").value == 116
+        assert BinarySequence("1001011").value == 105
+        assert BinarySequence("0010111").value == 116
         assert BinarySequence([0] * 9).value == 0
 
 
 class TestArithmeticAutocorr:
     def test_frozen_m3(self):
-        seq = BinarySequence.from_string("1001011")
+        seq = BinarySequence("1001011")
         assert arithmetic_autocorr(seq, 1) == -1
         assert arithmetic_autocorr(seq, 2) == -3
         assert arithmetic_autocorr(seq, 5) == 3
 
     def test_tau_out_of_range(self):
-        seq = BinarySequence.from_string("1001011")
+        seq = BinarySequence("1001011")
         for tau in (0, 7):
             with pytest.raises(errors.TauOutOfRange):
                 arithmetic_autocorr(seq, tau)
 
     def test_shift_equals_sequence(self):
         with pytest.raises(errors.ShiftEqualsSequence):
-            arithmetic_autocorr(BinarySequence.from_string("0101"), 2)
+            arithmetic_autocorr(BinarySequence("0101"), 2)
 
     @given(bit_lists, st.data())
     def test_bound(self, bits, data):
@@ -79,4 +79,4 @@ class TestDistribution:
 
     def test_propagates_shift_equals_sequence(self):
         with pytest.raises(errors.ShiftEqualsSequence):
-            distribution(BinarySequence.from_string("0101"))
+            distribution(BinarySequence("0101"))

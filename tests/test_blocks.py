@@ -43,8 +43,8 @@ class TestBlockTypeCounts:
         assert table == {(1, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1, (0, 1, 2): 1}
 
     def test_all_columns_unequal(self):
-        a = BinarySequence.from_string("1111")
-        b = BinarySequence.from_string("0000")
+        a = BinarySequence("1111")
+        b = BinarySequence("0000")
         table = block_type_counts(a, b)
         assert all(l == 0 for (_, _, l) in table)
         assert sum(table.values()) == 4
@@ -53,7 +53,7 @@ class TestBlockTypeCounts:
     # onto itself: rot(x, n) == x
     @pytest.mark.parametrize("a, b", [("10", "11"), ("0110", "0100"), ("1011001", "0011001"), ("0" * 64, "0" * 63 + "1")])
     def test_one_unequal_column(self, a, b):
-        a, b = BinarySequence.from_string(a), BinarySequence.from_string(b)
+        a, b = BinarySequence(a), BinarySequence(b)
         (p,) = [i for i in range(a.period) if a[i] != b[i]]
         assert block_type_counts(a, b) == {(a[p], a[p], a.period - 1): 1}
         assert block_type_counts(a, b) == naive_block_counts(a, b)
@@ -74,13 +74,13 @@ class TestBlockTypeCounts:
             assert all(l < m for (_, _, l) in table)
 
     def test_equal_sequences_rejected(self):
-        seq = BinarySequence.from_string("1010")
+        seq = BinarySequence("1010")
         with pytest.raises(errors.EqualSequences):
             block_type_counts(seq, seq)
 
     def test_period_mismatch_rejected(self):
         with pytest.raises(errors.PeriodMismatch):
-            block_type_counts(BinarySequence.from_string("101"), BinarySequence.from_string("1011"))
+            block_type_counts(BinarySequence("101"), BinarySequence("1011"))
 
     @settings(max_examples=200)
     @given(bit_lists, st.data())
@@ -131,13 +131,13 @@ class TestAutocorrViaBlocks:
             assert autocorr_via_blocks(seq, b) == -autocorr_via_blocks(b, seq)
 
     def test_equal_sequences_rejected(self):
-        seq = BinarySequence.from_string("1010")
+        seq = BinarySequence("1010")
         with pytest.raises(errors.EqualSequences):
             autocorr_via_blocks(seq, seq)
 
     def test_period_mismatch_rejected(self):
         with pytest.raises(errors.PeriodMismatch):
-            autocorr_via_blocks(BinarySequence.from_string("101"), BinarySequence.from_string("1011"))
+            autocorr_via_blocks(BinarySequence("101"), BinarySequence("1011"))
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_matches_counts_oracle(self, m):
@@ -182,8 +182,8 @@ class TestAutocorrViaBlocks:
 
     def test_only_01_columns_falls_back(self):
         # a <= b everywhere with at least one strict (0,1) column
-        a = BinarySequence.from_string("0011")
-        b = BinarySequence.from_string("1011")
+        a = BinarySequence("0011")
+        b = BinarySequence("1011")
         assert autocorr_via_blocks(a, b) == eq1_direct(a, b)
 
     @settings(max_examples=400)

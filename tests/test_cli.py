@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -136,7 +139,7 @@ BAD_M_RANGES = {
     "5..": "RangeFormatError: malformed m-range '5..', expected A..B",
     "a..b": "RangeFormatError: malformed m-range 'a..b', expected A..B",
     "1..3": "DegreeOutOfRange: m-range '1..3' outside 2..16",
-    "9..8": "DegreeOutOfRange: m-range '9..8' outside 2..16",
+    "9..8": "RangeFormatError: empty m-range '9..8', expected A <= B",
     "2..17": "DegreeOutOfRange: m-range '2..17' outside 2..16",
 }
 
@@ -378,8 +381,15 @@ class TestEnvPolyTable:
 
     @pytest.mark.parametrize(
         "content",
-        [b"3,3,2,0\n# \xff\xfe\n", b"3,3,2,0\n3,3,1,0\n", b"3,3,1,0\n 3 ,3,1,0 # again\n"],
-        ids=["not-utf8", "duplicate", "duplicate-same-poly"],
+        [
+            b"3,3,2,0\n# \xff\xfe\n",
+            b"3,3,2,0\n3,3,1,0\n",
+            b"3,3,1,0\n 3 ,3,1,0 # again\n",
+            b"99,1,0\n",
+            b"1,1,0\n",
+            b"3,4,1,0\n",
+        ],
+        ids=["not-utf8", "duplicate", "duplicate-same-poly", "m-99-degree-1", "m-1-degree-1", "m-3-degree-4"],
     )
     def test_bad_table_exits_2(self, capsys, tmp_path, monkeypatch, content):
         table = tmp_path / "polys.txt"
@@ -411,6 +421,15 @@ def test_deterministic_output(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+def test_module_entry_point():
+    # `python -m arithcorr.cli` runs entry() under the __main__ check, as the console script does
+    env = {**os.environ, "PYTHONPATH": str(Path(arith.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithcorr.cli", "gen", "--m", "3"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1001011\n", "")
 
 
 def run_quiet(argv) -> int:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import arithcorr
@@ -84,6 +86,14 @@ class TestMakeField:
     def test_degree_mismatch(self):
         with pytest.raises(errors.DegreeMismatch):
             make_field(4, parse_poly("3,1,0"))
+
+    @pytest.mark.parametrize("poly", [-11, 0, 11.0, "0xB"])
+    def test_not_a_positive_mask_rejected_promptly(self, poly):
+        # checked before any polynomial arithmetic, which never ends on a negative int
+        start = time.perf_counter()
+        with pytest.raises(errors.DegreeMismatch):
+            make_field(3, poly)
+        assert time.perf_counter() - start < 1.0
 
     def test_builtin_table_all_valid(self):
         for m in PRIMITIVE_POLYS:
@@ -248,6 +258,30 @@ class TestPrimitiveSearch:
     def test_primitivity_predicate(self):
         assert is_primitive(0b1011)
         assert not is_primitive(0b11111)
+        # below degree 2: zero, one and negative ints are no polynomials; x is
+        # irreducible but its root 0 generates nothing; x + 1's root 1 generates GF(2)*
+        for f, irreducible, primitive in [(-11, False, False), (-1, False, False), (0, False, False),
+                                          (1, False, False), (0b10, True, False), (0b11, True, True)]:
+            assert (is_irreducible(f), is_primitive(f)) == (irreducible, primitive)
+
+    def test_is_primitive_matches_walk_definition(self):
+        # f of degree m is primitive when the walk x <- x*pi mod f, from 1,
+        # first returns to 1 after exactly 2^m - 1 steps
+        def steps_back_to_one(f):
+            top = 1 << (f.bit_length() - 1)
+            x = 1
+            for step in range(1, top):
+                x <<= 1
+                if x & top:
+                    x ^= f
+                if x == 1:
+                    return step
+            return None
+
+        masks = range(1 << 2, 1 << 11)
+        by_walk = [f for f in masks if steps_back_to_one(f) == (1 << (f.bit_length() - 1)) - 1]
+        assert [f for f in masks if is_primitive(f)] == by_walk
+        assert len(by_walk) == 159
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_matches_sympy(self, m):

@@ -11,10 +11,11 @@ from conftest import lfsr_m_sequence, naive_pattern_count, random_sequence
 
 
 class TestConstruction:
-    def test_from_string_and_back(self):
-        seq = BinarySequence.from_string("1001011")
+    def test_string_and_back(self):
+        seq = BinarySequence("1001011")
         assert str(seq) == "1001011"
         assert tuple(seq) == (1, 0, 0, 1, 0, 1, 1)
+        assert BinarySequence((True, False, "0", 1, 0, "1", True)) == seq
 
     def test_rejects_short_or_nonbinary(self):
         with pytest.raises(ValueError):
@@ -22,42 +23,43 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BinarySequence([0, 2])
         with pytest.raises(ValueError):
-            BinarySequence.from_string("10a")
+            BinarySequence("10a")
         with pytest.raises(ValueError) as info:
-            BinarySequence.from_string("2" * 5000)
+            BinarySequence("2" * 5000)
         assert len(str(info.value)) < 100
 
     def test_errors_are_typed(self):
-        for bad in ([1], [0, 2], [0, -1], ["0", "x"]):
+        # a bit is 0, 1, "0" or "1": not "01", " 1", an Arabic-Indic one, None
+        # or a list, and the bits must come as an iterable
+        for bad in ([1], [0, 2], [0, -1], ["0", "x"], "10a", ["01", "1"], [" 1", "0"], ["\u0661", "0"],
+                    [None, 1], [[1], 0], [1.5, 0], 5, None):
             with pytest.raises(errors.InvalidSequence) as info:
                 BinarySequence(bad)
             assert isinstance(info.value, errors.ArithCorrError)
         with pytest.raises(errors.ArithCorrError):
-            BinarySequence.from_string("10a")
-        with pytest.raises(errors.ArithCorrError):
-            BinarySequence.from_string("101").pattern_count(())
+            BinarySequence("101").pattern_count(())
 
     def test_value_is_the_state(self):
-        seq = BinarySequence.from_string("1001011")
+        seq = BinarySequence("1001011")
         assert seq.value == 0b1101001
         assert seq.period == len(seq) == 7
         assert seq == BinarySequence(seq)
         assert hash(seq) == hash(BinarySequence(seq))
         # leading zeros of the period are part of it
-        assert BinarySequence.from_string("10") != BinarySequence.from_string("100")
+        assert BinarySequence("10") != BinarySequence("100")
 
     def test_cyclic_indexing(self):
-        seq = BinarySequence.from_string("1001011")
+        seq = BinarySequence("1001011")
         assert seq[7] == seq[0] == 1
         assert seq[-1] == seq[6] == 1
 
     def test_immutable(self):
-        seq = BinarySequence.from_string("101")
+        seq = BinarySequence("101")
         with pytest.raises(AttributeError):
             seq.value = 0
 
     def test_csv_export(self):
-        assert BinarySequence.from_string("011").to_csv() == "lambda,bit\n0,0\n1,1\n2,1"
+        assert BinarySequence("011").to_csv() == "lambda,bit\n0,0\n1,1\n2,1"
 
     def test_csv_export_past_one_slice(self):
         # 16383 rows span four of to_csv's join slices
@@ -97,13 +99,13 @@ class TestMSequence:
 
 class TestShift:
     def test_examples(self):
-        seq = BinarySequence.from_string("1001011")
+        seq = BinarySequence("1001011")
         assert str(seq.shift(1)) == "0010111"
         assert str(seq.shift(5)) == "1110010"
         assert seq.shift(0) is seq
 
     def test_out_of_range(self):
-        seq = BinarySequence.from_string("1001011")
+        seq = BinarySequence("1001011")
         for tau in (-1, 7):
             with pytest.raises(errors.TauOutOfRange):
                 seq.shift(tau)
@@ -127,6 +129,7 @@ class TestPatternCount:
         assert seq.pattern_count((0, 0, 0)) == 0
         assert seq.pattern_count((1, 1)) == 2
         assert seq.pattern_count((1,)) == 4
+        assert seq.pattern_count("11") == seq.pattern_count([True, True]) == 2
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_uniform_pattern_distribution(self, m):
@@ -137,13 +140,14 @@ class TestPatternCount:
                 assert seq.pattern_count(pattern) == expected
 
     def test_errors(self):
-        seq = BinarySequence.from_string("101")
+        seq = BinarySequence("101")
         with pytest.raises(errors.PatternTooLong):
             seq.pattern_count((1, 0, 1, 0))
         with pytest.raises(ValueError):
             seq.pattern_count(())
-        with pytest.raises(errors.InvalidSequence):
-            seq.pattern_count((1, 2))
+        for bad in ((1, 2), "x", None, ["\u0661"], ("01",), (" 1",), (None, 1)):
+            with pytest.raises(errors.InvalidSequence):
+                seq.pattern_count(bad)
 
     @settings(max_examples=300)
     @given(st.lists(st.integers(0, 1), min_size=2, max_size=64), st.data())
