@@ -9,15 +9,14 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .errors import ShiftEqualsSequence, TauOutOfRange
+from .errors import ShiftEqualsSequence, check_tau
 from .sequences import BinarySequence, rotate_value
 
 
 def arithmetic_autocorr(seq: BinarySequence, tau: int) -> int:
     """Arithmetic autocorrelation of seq at shift tau, in [-(n-2), n-2]."""
     n = seq.period
-    if not 1 <= tau <= n - 1:
-        raise TauOutOfRange(f"tau={tau} outside 1..{n - 1}")
+    check_tau(tau, 1, n)
     s = seq.value
     d = s - rotate_value(s, tau, n)
     if d == 0:

@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import product
 
 from . import arith, blocks, closedform
-from .errors import ArithCorrError, DegreeOutOfRange, PolynomialFormatError, RangeFormatError, TauOutOfRange, excerpt
+from .errors import ArithCorrError, DegreeOutOfRange, PolynomialFormatError, RangeFormatError, check_tau, excerpt
 from .gf2m import MIN_DEGREE, GF2m, find_primitive_polynomials, format_poly, make_field, parse_poly
 from .sequences import m_sequence
 
@@ -27,8 +27,7 @@ VERIFY_MAX_DEGREE = 16
 # Largest degree at which `verify` runs the blocks route at every tau; above it
 # the blocks route runs on spread sample taus and the three_way row says so
 THREE_WAY_EXHAUSTIVE_MAX_DEGREE = 14
-# Largest degree at which `verify` checks eqs. (4)-(5) and lemma 1's pattern counts; at most
-# THREE_WAY_EXHAUSTIVE_MAX_DEGREE, as the check reads the blocks shift b, None at unsampled taus
+# Largest degree at which `verify` checks eqs. (4)-(5) and lemma 1's pattern counts
 COUNTING_MAX_DEGREE = 8
 # Timed on a 2-core x86-64 host with Python 3.11
 ALL_SHIFTS_COST = (
@@ -60,9 +59,9 @@ def _load_env_poly_table() -> dict[int, int]:
         poly = parse_poly(rest)
         m = poly.bit_length() - 1
         if head.strip() != str(m) or m < MIN_DEGREE:
-            raise PolynomialFormatError(f"table line {excerpt(raw)}: m must be the degree, at least {MIN_DEGREE}")
+            raise PolynomialFormatError(f"table line {excerpt(line)}: m must be the degree, at least {MIN_DEGREE}")
         if m in table:
-            raise PolynomialFormatError(f"second table line for m={m}: {excerpt(raw)}")
+            raise PolynomialFormatError(f"second table line for m={m}: {excerpt(line)}")
         table[m] = poly
     return table
 
@@ -97,8 +96,8 @@ def cmd_gen(args) -> int:
 
 def cmd_acorr(args) -> int:
     ctx = _resolve_field(args.m, args.poly)
-    if not args.all and not 1 <= args.tau <= ctx.n - 1:
-        raise TauOutOfRange(f"tau={args.tau} outside 1..{ctx.n - 1}")
+    if not args.all:
+        check_tau(args.tau, 1, ctx.n)
     seq = m_sequence(ctx)
     methods = ["direct", "blocks", "closed"] if args.method == "all" else [args.method]
     taus = range(1, ctx.n) if args.all else [args.tau]
@@ -166,9 +165,8 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
     def miss(check, kind, **detail):
         bad[check].append({"check": kind, "m": m, "poly": poly, **detail})
 
-    # above THREE_WAY_EXHAUSTIVE_MAX_DEGREE the blocks route runs at 64 spread
-    # taus plus n - 1, and the three_way row says so; the counting identities
-    # are read off the block counts of the same shift
+    # above THREE_WAY_EXHAUSTIVE_MAX_DEGREE the blocks route runs at 65 spread
+    # taus plus n - 1, and the three_way row says so
     step = 1 if m <= THREE_WAY_EXHAUSTIVE_MAX_DEGREE else (n - 1) // 64
     block_taus = {*range(1, n, step), n - 1}
     quarter = 1 << (m - 2)
@@ -176,8 +174,7 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
     for tau in range(1, n):
         directs[tau] = direct = arith.arithmetic_autocorr(seq, tau)
         closed = closedform.predict_acorr(ctx, tau)
-        b = seq.shift(tau) if tau in block_taus else None
-        via_blocks = None if b is None else blocks.autocorr_via_blocks(seq, b)
+        via_blocks = blocks.autocorr_via_blocks(seq, seq.shift(tau)) if tau in block_taus else None
         if direct != closed or via_blocks not in (None, direct):
             miss("three_way", "three_way", tau=tau, direct=direct, blocks=via_blocks, closed=closed)
         if seq.classical_autocorr(tau) != -1:
@@ -187,7 +184,7 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
             # select exactly these windows: eq4[l] = N(0,0;l)+N(0,1;l),
             # eq5[l] = N(1,0;l)+N(1,1;l)
             eq4, eq5 = [0] * m, [0] * m
-            for (alpha, _beta, l), c in blocks.block_type_counts(seq, b).items():
+            for (alpha, _beta, l), c in blocks.block_type_counts(seq, seq.shift(tau)).items():
                 (eq5 if alpha else eq4)[l] += c
             if sum(eq4) != quarter or sum(eq5) != quarter:
                 miss("counting", "count_sums", tau=tau)
@@ -233,12 +230,9 @@ def cmd_verify(args) -> int:
     if not (MIN_DEGREE <= lo <= hi <= VERIFY_MAX_DEGREE):
         raise DegreeOutOfRange(f"m-range {excerpt(args.m_range)} outside {MIN_DEGREE}..{VERIFY_MAX_DEGREE}")
     rows, mismatches = [], []
-    env_table = _load_env_poly_table()
+    env_table = {} if args.polys == "all" else _load_env_poly_table()
     for m in range(lo, hi + 1):
-        if args.polys == "all":
-            polys = find_primitive_polynomials(m, 3)
-        else:
-            polys = [env_table.get(m)]
+        polys = find_primitive_polynomials(m, 3) if args.polys == "all" else [env_table.get(m)]
         for poly in polys:
             _verify_field(make_field(m, poly), rows, mismatches)
     status = "fail" if mismatches else "pass"

@@ -15,10 +15,15 @@ from .errors import LOutOfRange, NonIntegerCount
 from .gf2m import GF2m, _check_degree
 
 
+def _expansion(ctx: GF2m, tau: int) -> tuple[int, int]:
+    """(e, b0): the top exponent and constant bit of (1 + pi^tau)^-1."""
+    el = ctx.expand_inverse_one_plus_pi_tau(tau)
+    return el.bit_length() - 1, el & 1
+
+
 def predict_acorr(ctx: GF2m, tau: int) -> int:
     """Closed-form correlation at shift tau from the inverse expansion."""
-    el = ctx.expand_inverse_one_plus_pi_tau(tau)
-    e, b0 = el.bit_length() - 1, el & 1
+    e, b0 = _expansion(ctx, tau)
     magnitude = (1 << (ctx.m - e)) - 1
     return magnitude if b0 else -magnitude
 
@@ -46,10 +51,9 @@ def lemma4_count(ctx: GF2m, tau: int, l: int) -> int:
     for small m but always cancel; evaluated as an exact integer quotient,
     and a remainder raises NonIntegerCount.
     """
-    if not 1 <= l <= ctx.m - 1:
-        raise LOutOfRange(f"l={l} outside 1..{ctx.m - 1}")
-    el = ctx.expand_inverse_one_plus_pi_tau(tau)
-    e, b0 = el.bit_length() - 1, el & 1
+    if not isinstance(l, int) or not 1 <= l <= ctx.m - 1:
+        raise LOutOfRange(f"l={l!r} outside 1..{ctx.m - 1}")
+    e, b0 = _expansion(ctx, tau)
     sign = -1 if b0 else 1  # (-1)^b0
     if l == ctx.m - 1:
         num, den = 1 + sign, 2
@@ -71,8 +75,7 @@ def weighted_sum(ctx: GF2m, tau: int) -> int:
 
     g(tau) = 2^(m-2) + this value, and A = n - 2*g(tau).
     """
-    el = ctx.expand_inverse_one_plus_pi_tau(tau)
-    e, b0 = el.bit_length() - 1, el & 1
+    e, b0 = _expansion(ctx, tau)
     m = ctx.m
     if b0 == 0:
         return (1 << (m - 2)) + (1 << (m - e - 1)) - 1

@@ -43,6 +43,12 @@ class TauOutOfRange(ArithCorrError):
     """Shift amount tau outside the valid range."""
 
 
+def check_tau(tau: int, lo: int, n: int) -> None:
+    """Raise TauOutOfRange unless tau is an int in lo..n-1."""
+    if not isinstance(tau, int) or not lo <= tau <= n - 1:
+        raise TauOutOfRange(f"tau={tau!r} outside {lo}..{n - 1}")
+
+
 class InvalidSequence(ArithCorrError, ValueError):
     """Bits or a pattern that do not form a binary sequence (also a ValueError)."""
 

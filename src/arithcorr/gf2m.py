@@ -16,7 +16,7 @@ from .errors import (
     NotIrreducible,
     NotPrimitive,
     PolynomialFormatError,
-    TauOutOfRange,
+    check_tau,
     excerpt,
 )
 
@@ -34,8 +34,8 @@ PRIMITIVE_POLYS = {
 
 
 def _check_degree(m: int) -> None:
-    if not MIN_DEGREE <= m <= MAX_DEGREE:
-        raise DegreeOutOfRange(f"m={m} outside {MIN_DEGREE}..{MAX_DEGREE}")
+    if not isinstance(m, int) or not MIN_DEGREE <= m <= MAX_DEGREE:
+        raise DegreeOutOfRange(f"m={m!r} outside {MIN_DEGREE}..{MAX_DEGREE}")
 
 
 def parse_poly(text: str) -> int:
@@ -200,10 +200,8 @@ class GF2m:
 
     __slots__ = ("m", "modulus", "n", "_trace_mask", "_log", "_antilog")
 
-    def __init__(self, m: int, poly: int | None = None):
+    def __init__(self, m: int, poly: int):
         _check_degree(m)
-        if poly is None:
-            poly = PRIMITIVE_POLYS.get(m) or find_primitive_polynomials(m, 1)[0]
         if not isinstance(poly, int) or poly < 1:
             raise DegreeMismatch(f"modulus is not a positive int, expected a polynomial of degree {m}")
         if poly.bit_length() - 1 != m:
@@ -258,8 +256,7 @@ class GF2m:
         1 + pi^tau = pi^Z(tau), the inverse is pi^(n - Z(tau)): two lookups
         in tables built on the first call.
         """
-        if not 1 <= tau <= self.n - 1:
-            raise TauOutOfRange(f"tau={tau} outside 1..{self.n - 1}")
+        check_tau(tau, 1, self.n)
         log, antilog = self._zech_tables()
         # 1 + pi^tau != 1, so Z(tau) = log[...] lies in 1..n-1
         return antilog[self.n - log[antilog[tau] ^ 1]]
@@ -269,5 +266,7 @@ class GF2m:
 
 
 def make_field(m: int, poly: int | None = None) -> GF2m:
-    """Build a GF(2^m) context, validating irreducibility and primitivity."""
+    """Pick the default modulus of degree m when poly is None, then GF2m(m, poly) validates it."""
+    if poly is None:
+        poly = PRIMITIVE_POLYS.get(m) or find_primitive_polynomials(m, 1)[0]
     return GF2m(m, poly)

@@ -10,7 +10,7 @@ are derived from the value on demand.
 
 from __future__ import annotations
 
-from .errors import InvalidSequence, PatternTooLong, TauOutOfRange
+from .errors import InvalidSequence, PatternTooLong, check_tau
 from .gf2m import GF2m
 
 # The values that count as bits (True and False are 1 and 0 as keys)
@@ -65,8 +65,7 @@ class BinarySequence:
     def shift(self, tau: int) -> "BinarySequence":
         """Cyclic shift: bit lambda of the result is bit lambda+tau of self."""
         n = self.period
-        if not 0 <= tau <= n - 1:
-            raise TauOutOfRange(f"tau={tau} outside 0..{n - 1}")
+        check_tau(tau, 0, n)
         if tau == 0:
             return self
         return BinarySequence._from_value(rotate_value(self.value, tau, n), n)
@@ -92,8 +91,7 @@ class BinarySequence:
     def classical_autocorr(self, tau: int) -> int:
         """sum over lambda of (-1)^(s_lambda + s_(lambda+tau))."""
         n = self.period
-        if not 0 <= tau <= n - 1:
-            raise TauOutOfRange(f"tau={tau} outside 0..{n - 1}")
+        check_tau(tau, 0, n)
         hd = (self.value ^ rotate_value(self.value, tau, n)).bit_count()
         return n - 2 * hd
 

@@ -26,7 +26,7 @@ class TestArithmeticAutocorr:
 
     def test_tau_out_of_range(self):
         seq = BinarySequence("1001011")
-        for tau in (0, 7):
+        for tau in (0, 7, 2.0, "2", None):
             with pytest.raises(errors.TauOutOfRange):
                 arithmetic_autocorr(seq, tau)
 

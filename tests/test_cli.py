@@ -400,6 +400,33 @@ class TestEnvPolyTable:
         assert "PolynomialFormatError" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("1,1,0\n", "table line '1,1,0': m must be the degree, at least 2"),
+            ("3,3,2,0\n3,3,1,0 # again\n", "second table line for m=3: '3,3,1,0'"),
+        ],
+        ids=["m-1-degree-1", "duplicate"],
+    )
+    def test_bad_table_line_quoted_stripped(self, capsys, tmp_path, monkeypatch, content, message):
+        table = tmp_path / "polys.txt"
+        table.write_text(content)
+        monkeypatch.setenv("ARITHCORR_POLY_TABLE", str(table))
+        assert run(capsys, "gen", "--m", "3") == (2, "", f"error: PolynomialFormatError: {message}\n")
+
+    @pytest.mark.parametrize("polys", ["all", "default"])
+    def test_verify_reads_table_only_for_default_polys(self, capsys, tmp_path, monkeypatch, polys):
+        # --polys all takes its moduli from find_primitive_polynomials, none from the table
+        table = tmp_path / "polys.txt"
+        table.write_text("1,1,0\n")
+        monkeypatch.setenv("ARITHCORR_POLY_TABLE", str(table))
+        code, out, err = run(capsys, "verify", "--m-range", "2..3", "--polys", polys)
+        if polys == "all":
+            assert (code, out.splitlines()[-1], err) == (0, "status,pass", "")
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: PolynomialFormatError: table line '1,1,0'")
+
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_table_exits_2(self, capsys, tmp_path, monkeypatch, kind):
         # open() raises FileNotFoundError or IsADirectoryError; main turns

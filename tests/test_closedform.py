@@ -39,8 +39,9 @@ class TestPredictAcorr:
         assert (el.bit_length() - 1, el & 1, predict_acorr(ctx, tau)) == (e, b0, value)
 
     def test_tau_out_of_range(self):
-        with pytest.raises(errors.TauOutOfRange):
-            predict_acorr(make_field(3), 0)
+        for tau in (0, 2.0, "2", None):
+            with pytest.raises(errors.TauOutOfRange):
+                predict_acorr(make_field(3), tau)
 
     @pytest.mark.parametrize("m", range(2, 10))
     def test_magnitude_is_power_of_two_minus_one(self, m):
@@ -63,7 +64,7 @@ class TestPredictDistribution:
         assert all(dist[v] == dist[-v] for v in dist)
 
     def test_rejects_small_m(self):
-        for m in (1, 25):
+        for m in (1, 25, "3", 3.0, None):
             with pytest.raises(errors.DegreeOutOfRange):
                 predict_distribution(m)
 
@@ -82,7 +83,7 @@ class TestLemma4:
 
     def test_l_out_of_range(self):
         ctx = make_field(3)
-        for l in (0, 3):
+        for l in (0, 3, 2.0):
             with pytest.raises(errors.LOutOfRange):
                 lemma4_count(ctx, 1, l)
 

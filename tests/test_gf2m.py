@@ -78,10 +78,11 @@ class TestMakeField:
     def test_degree_out_of_range(self):
         with pytest.raises(errors.DegreeOutOfRange):
             make_field(1, 0b11)
-        with pytest.raises(errors.DegreeOutOfRange):
-            make_field(25)
-        with pytest.raises(errors.DegreeOutOfRange):
-            find_primitive_polynomials(25, 1)
+        for m in (25, "3", 3.0, None):
+            with pytest.raises(errors.DegreeOutOfRange):
+                make_field(m)
+            with pytest.raises(errors.DegreeOutOfRange):
+                find_primitive_polynomials(m, 1)
 
     def test_degree_mismatch(self):
         with pytest.raises(errors.DegreeMismatch):
@@ -193,7 +194,7 @@ class TestExpansion:
 
     def test_tau_out_of_range(self):
         ctx = make_field(3)
-        for tau in (0, 7, -1):
+        for tau in (0, 7, -1, 2.0, "2", None):
             with pytest.raises(errors.TauOutOfRange):
                 ctx.expand_inverse_one_plus_pi_tau(tau)
 

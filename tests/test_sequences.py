@@ -106,7 +106,7 @@ class TestShift:
 
     def test_out_of_range(self):
         seq = BinarySequence("1001011")
-        for tau in (-1, 7):
+        for tau in (-1, 7, 2.0, "2", None):
             with pytest.raises(errors.TauOutOfRange):
                 seq.shift(tau)
 
@@ -164,7 +164,7 @@ class TestClassicalAutocorr:
 
     def test_out_of_range(self):
         seq = m_sequence(make_field(4))
-        for tau in (-1, 15):
+        for tau in (-1, 15, 2.0, "2", None):
             with pytest.raises(errors.TauOutOfRange):
                 seq.classical_autocorr(tau)
 
