@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from array import array
 from collections import Counter
 from itertools import product
 
 from . import arith, blocks, closedform
-from .errors import ArithCorrError, DegreeOutOfRange, PolynomialFormatError, RangeFormatError, check_tau, excerpt
+from .errors import ArithCorrError, DegreeOutOfRange, RangeFormatError, check_tau, excerpt
 from .gf2m import MIN_DEGREE, GF2m, find_primitive_polynomials, format_poly, make_field, parse_poly
 from .sequences import m_sequence
 
-POLY_TABLE_ENV = "ARITHCORR_POLY_TABLE"
 # Largest degree `verify` accepts; its checks walk all 2^m - 2 shifts, so the cost
 # at least doubles with each degree
 VERIFY_MAX_DEGREE = 16
@@ -36,40 +34,8 @@ ALL_SHIFTS_COST = (
 )
 
 
-def _load_env_poly_table() -> dict[int, int]:
-    """User polynomial table: UTF-8 lines `m,exponent-list`, '#' comments allowed.
-
-    A file that does not decode, a malformed line, a line whose m is not its
-    polynomial's degree or a second line for the same m raises PolynomialFormatError.
-    """
-    path = os.environ.get(POLY_TABLE_ENV)
-    if not path:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise PolynomialFormatError(f"{path}: not UTF-8 ({exc.reason})") from None
-    table = {}
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(",")
-        poly = parse_poly(rest)
-        m = poly.bit_length() - 1
-        if head.strip() != str(m) or m < MIN_DEGREE:
-            raise PolynomialFormatError(f"table line {excerpt(line)}: m must be the degree, at least {MIN_DEGREE}")
-        if m in table:
-            raise PolynomialFormatError(f"second table line for m={m}: {excerpt(line)}")
-        table[m] = poly
-    return table
-
-
 def _resolve_field(m: int, poly_text: str | None) -> GF2m:
-    if poly_text is not None:
-        return make_field(m, parse_poly(poly_text))
-    return make_field(m, _load_env_poly_table().get(m))
+    return make_field(m, None if poly_text is None else parse_poly(poly_text))
 
 
 def cmd_gen(args) -> int:
@@ -229,12 +195,15 @@ def cmd_verify(args) -> int:
         raise RangeFormatError(f"empty m-range {excerpt(args.m_range)}, expected A <= B")
     if not (MIN_DEGREE <= lo <= hi <= VERIFY_MAX_DEGREE):
         raise DegreeOutOfRange(f"m-range {excerpt(args.m_range)} outside {MIN_DEGREE}..{VERIFY_MAX_DEGREE}")
+    # one field at a time, so that no field's tables outlive its checks
+    degrees = range(lo, hi + 1)
+    if args.polys == "all":
+        fields = (make_field(m, poly) for m in degrees for poly in find_primitive_polynomials(m, 3))
+    else:
+        fields = (_resolve_field(m, args.poly) for m in degrees)
     rows, mismatches = [], []
-    env_table = {} if args.polys == "all" else _load_env_poly_table()
-    for m in range(lo, hi + 1):
-        polys = find_primitive_polynomials(m, 3) if args.polys == "all" else [env_table.get(m)]
-        for poly in polys:
-            _verify_field(make_field(m, poly), rows, mismatches)
+    for ctx in fields:
+        _verify_field(ctx, rows, mismatches)
     status = "fail" if mismatches else "pass"
     if args.json:
         doc = {"command": "verify", "parameters": {"m_range": args.m_range, "polys": args.polys}}
@@ -250,6 +219,15 @@ def cmd_verify(args) -> int:
     return 1 if mismatches else 0
 
 
+def _add_poly_flag(container) -> None:
+    """Add --poly, which means the same in every command."""
+    container.add_argument(
+        "--poly",
+        help="the modulus, a primitive polynomial of degree m, as hex mask (0xB) or exponent list (3,1,0); "
+        "default: the built-in modulus of degree m",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arithcorr",
@@ -259,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an m-sequence")
     gen.add_argument("--m", type=int, required=True)
-    gen.add_argument("--poly", help="modulus as hex mask (0xB) or exponent list (3,1,0)")
+    _add_poly_flag(gen)
     gen.add_argument("--format", choices=["bits", "csv"], default="bits")
     gen.add_argument("--json", action="store_true")
     gen.set_defaults(func=cmd_gen)
 
     acorr = sub.add_parser("acorr", help="arithmetic autocorrelation at one or all shifts", epilog=ALL_SHIFTS_COST)
     acorr.add_argument("--m", type=int, required=True)
-    acorr.add_argument("--poly")
+    _add_poly_flag(acorr)
     group = acorr.add_mutually_exclusive_group(required=True)
     group.add_argument("--tau", type=int)
     group.add_argument("--all", action="store_true")
@@ -276,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dist = sub.add_parser("dist", help="full correlation distribution", epilog=ALL_SHIFTS_COST)
     dist.add_argument("--m", type=int, required=True)
-    dist.add_argument("--poly")
+    _add_poly_flag(dist)
     dist.add_argument("--check", action="store_true", help="compare against the closed form")
     dist.add_argument("--json", action="store_true")
     dist.set_defaults(func=cmd_dist)
@@ -285,7 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--m-range", required=True, help=f"degree range A..B, {MIN_DEGREE} <= A <= B <= {VERIFY_MAX_DEGREE}"
     )
-    verify.add_argument("--polys", choices=["default", "all"], default="default")
+    moduli = verify.add_mutually_exclusive_group()
+    _add_poly_flag(moduli)
+    moduli.add_argument(
+        "--polys",
+        choices=["default", "all"],
+        default="default",
+        help="all: up to three primitive polynomials of each degree, the smallest masks first "
+        "(find_primitive_polynomials(m, 3)), not every one; default: one modulus per degree",
+    )
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)
     return parser

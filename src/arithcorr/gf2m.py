@@ -268,5 +268,6 @@ class GF2m:
 def make_field(m: int, poly: int | None = None) -> GF2m:
     """Pick the default modulus of degree m when poly is None, then GF2m(m, poly) validates it."""
     if poly is None:
+        _check_degree(m)  # before the lookup, which an unhashable m would break
         poly = PRIMITIVE_POLYS.get(m) or find_primitive_polynomials(m, 1)[0]
     return GF2m(m, poly)

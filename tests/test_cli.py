@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +73,13 @@ class TestGen:
         assert code == 2
         assert "PolynomialFormatError" in err
         assert len(err.encode()) < 300
+
+    def test_poly_table_env_is_ignored(self, capsys, tmp_path, monkeypatch):
+        # the modulus is named only by --poly; no environment variable is read
+        table = tmp_path / "polys.txt"
+        table.write_text("1,1,0\n")
+        monkeypatch.setenv("ARITHCORR_POLY_TABLE", str(table))
+        assert run(capsys, "gen", "--m", "3") == (0, "1001011\n", "")
 
 
 class TestAcorr:
@@ -155,6 +161,24 @@ class TestVerify:
         assert code == 0
         # two primitive polynomials exist for each of m=3 and m=4
         assert out.count("three_way") == 4
+
+    def test_poly_rows_match_polys_all(self, capsys):
+        code, out, _ = run(capsys, "verify", "--m-range", "3..3", "--poly", "3,2,0", "--json")
+        _, all_out, _ = run(capsys, "verify", "--m-range", "3..3", "--polys", "all", "--json")
+        rows = json.loads(out)["rows"]
+        assert code == 0
+        assert len(rows) == 4
+        assert rows == [r for r in json.loads(all_out)["rows"] if r["poly"] == "0xd"]
+
+    def test_poly_of_other_degree_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--m-range", "3..4", "--poly", "3,2,0")
+        assert (code, out) == (2, "")
+        assert err == "error: DegreeMismatch: polynomial 3,2,0 has degree 3, expected 4\n"
+
+    def test_poly_excludes_polys(self, capsys):
+        code, out, err = run(capsys, "verify", "--m-range", "3..3", "--poly", "3,2,0", "--polys", "all")
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--m-range", "2..3", "--json")
@@ -350,96 +374,6 @@ FAILING_VERIFY_DOC = {
 }
 
 
-class TestEnvPolyTable:
-    def test_overrides_default(self, capsys, tmp_path, monkeypatch):
-        table = tmp_path / "polys.txt"
-        # x^3 + x^2 + 1, the other degree-3 primitive polynomial
-        table.write_text("# alternates\n3,3,2,0\n")
-        monkeypatch.setenv("ARITHCORR_POLY_TABLE", str(table))
-        code, out, _ = run(capsys, "gen", "--m", "3")
-        assert code == 0
-        from arithcorr import m_sequence, make_field
-
-        assert out == f"{m_sequence(make_field(3, 0b1101))}\n"
-        assert out != "1001011\n"
-
-    def test_explicit_poly_wins(self, capsys, tmp_path, monkeypatch):
-        table = tmp_path / "polys.txt"
-        table.write_text("3,3,2,0\n")
-        monkeypatch.setenv("ARITHCORR_POLY_TABLE", str(table))
-        code, out, _ = run(capsys, "gen", "--m", "3", "--poly", "3,1,0")
-        assert code == 0
-        assert out == "1001011\n"
-
-    def test_long_bad_table_line_error_is_short(self, capsys, tmp_path, monkeypatch):
-        table = tmp_path / "polys.txt"
-        table.write_text("x" * 5000 + ",3,1,0\n")
-        monkeypatch.setenv("ARITHCORR_POLY_TABLE", str(table))
-        code, _, err = run(capsys, "gen", "--m", "3")
-        assert code == 2
-        assert len(err.encode()) < 300
-
-    @pytest.mark.parametrize(
-        "content",
-        [
-            b"3,3,2,0\n# \xff\xfe\n",
-            b"3,3,2,0\n3,3,1,0\n",
-            b"3,3,1,0\n 3 ,3,1,0 # again\n",
-            b"99,1,0\n",
-            b"1,1,0\n",
-            b"3,4,1,0\n",
-        ],
-        ids=["not-utf8", "duplicate", "duplicate-same-poly", "m-99-degree-1", "m-1-degree-1", "m-3-degree-4"],
-    )
-    def test_bad_table_exits_2(self, capsys, tmp_path, monkeypatch, content):
-        table = tmp_path / "polys.txt"
-        table.write_bytes(content)
-        monkeypatch.setenv("ARITHCORR_POLY_TABLE", str(table))
-        code, out, err = run(capsys, "gen", "--m", "3")
-        assert (code, out) == (2, "")
-        assert "PolynomialFormatError" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "content, message",
-        [
-            ("1,1,0\n", "table line '1,1,0': m must be the degree, at least 2"),
-            ("3,3,2,0\n3,3,1,0 # again\n", "second table line for m=3: '3,3,1,0'"),
-        ],
-        ids=["m-1-degree-1", "duplicate"],
-    )
-    def test_bad_table_line_quoted_stripped(self, capsys, tmp_path, monkeypatch, content, message):
-        table = tmp_path / "polys.txt"
-        table.write_text(content)
-        monkeypatch.setenv("ARITHCORR_POLY_TABLE", str(table))
-        assert run(capsys, "gen", "--m", "3") == (2, "", f"error: PolynomialFormatError: {message}\n")
-
-    @pytest.mark.parametrize("polys", ["all", "default"])
-    def test_verify_reads_table_only_for_default_polys(self, capsys, tmp_path, monkeypatch, polys):
-        # --polys all takes its moduli from find_primitive_polynomials, none from the table
-        table = tmp_path / "polys.txt"
-        table.write_text("1,1,0\n")
-        monkeypatch.setenv("ARITHCORR_POLY_TABLE", str(table))
-        code, out, err = run(capsys, "verify", "--m-range", "2..3", "--polys", polys)
-        if polys == "all":
-            assert (code, out.splitlines()[-1], err) == (0, "status,pass", "")
-        else:
-            assert (code, out) == (2, "")
-            assert err.startswith("error: PolynomialFormatError: table line '1,1,0'")
-
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
-    def test_unreadable_table_exits_2(self, capsys, tmp_path, monkeypatch, kind):
-        # open() raises FileNotFoundError or IsADirectoryError; main turns
-        # either OSError into one error line
-        path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
-        monkeypatch.setenv("ARITHCORR_POLY_TABLE", str(path))
-        code, out, err = run(capsys, "gen", "--m", "3")
-        assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
-
-
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "dist", "--m", "6", "--check")
     _, second, _ = run(capsys, "dist", "--m", "6", "--check")
@@ -448,6 +382,17 @@ def test_deterministic_output(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+def test_broken_pipe_exits_2(capsys, monkeypatch):
+    # a reader that closed stdout early, as in `arithcorr gen --m 20 | head -c 5`
+    class ClosedStdout(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(["gen", "--m", "3"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_module_entry_point():
@@ -473,18 +418,6 @@ poly_texts = st.text(max_size=30) | st.from_regex(
 @given(poly_texts)
 def test_fuzz_poly_argument(text):
     assert run_quiet(["gen", "--m", "3", "--poly", text]) in (0, 2)
-
-
-table_bytes = st.binary(max_size=64) | st.text(alphabet="0123456789,x# \n", max_size=40).map(str.encode)
-
-
-@settings(max_examples=60, deadline=None)
-@given(table_bytes)
-def test_fuzz_poly_table(tmp_path_factory, content):
-    table = tmp_path_factory.getbasetemp() / "fuzz_polys.txt"
-    table.write_bytes(content)
-    with mock.patch.dict(os.environ, {"ARITHCORR_POLY_TABLE": str(table)}):
-        assert run_quiet(["gen", "--m", "3"]) in (0, 2)
 
 
 small_ints = st.integers(-2, 8).map(str)
@@ -516,7 +449,7 @@ def argvs(draw):
         maybe("--polys", values=st.sampled_from(["default", "all", "some"]))
     else:
         maybe("--m", values=numbers, odds=9)
-        maybe("--poly", values=poly_args)
+    maybe("--poly", values=poly_args)
     if command == "gen":
         maybe("--format", values=st.sampled_from(["bits", "csv", "xml"]))
     if command == "acorr":

@@ -78,7 +78,7 @@ class TestMakeField:
     def test_degree_out_of_range(self):
         with pytest.raises(errors.DegreeOutOfRange):
             make_field(1, 0b11)
-        for m in (25, "3", 3.0, None):
+        for m in (25, "3", 3.0, None, []):
             with pytest.raises(errors.DegreeOutOfRange):
                 make_field(m)
             with pytest.raises(errors.DegreeOutOfRange):
