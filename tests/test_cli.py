@@ -384,15 +384,23 @@ def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
 
 
-def test_broken_pipe_exits_2(capsys, monkeypatch):
-    # a reader that closed stdout early, as in `arithcorr gen --m 20 | head -c 5`
-    class ClosedStdout(io.StringIO):
+@pytest.mark.parametrize(
+    "exc",
+    [
+        # a reader that closed stdout early, as in `arithcorr gen --m 20 | head -c 5`
+        pytest.param(BrokenPipeError(32, "Broken pipe"), id="broken-pipe"),
+        # a full device, as in `arithcorr gen --m 20 > /dev/full`
+        pytest.param(OSError(28, "No space left on device"), id="no-space"),
+    ],
+)
+def test_stdout_oserror_exits_2(capsys, monkeypatch, exc):
+    class FailingStdout(io.StringIO):
         def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
+            raise exc
 
-    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    monkeypatch.setattr(sys, "stdout", FailingStdout())
     assert main(["gen", "--m", "3"]) == 2
-    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_module_entry_point():
