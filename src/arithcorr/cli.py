@@ -206,7 +206,7 @@ def cmd_verify(args) -> int:
         _verify_field(ctx, rows, mismatches)
     status = "fail" if mismatches else "pass"
     if args.json:
-        doc = {"command": "verify", "parameters": {"m_range": args.m_range, "polys": args.polys}}
+        doc = {"command": "verify", "parameters": {"m_range": args.m_range, "polys": args.polys, "poly": args.poly}}
         print(json.dumps(doc | {"rows": rows, "mismatches": mismatches, "status": status}))
     else:
         print("check,m,poly,status")
@@ -224,7 +224,7 @@ def _add_poly_flag(container) -> None:
     container.add_argument(
         "--poly",
         help="the modulus, a primitive polynomial of degree m, as hex mask (0xB) or exponent list (3,1,0); "
-        "default: the built-in modulus of degree m",
+        "default: the smallest primitive mask of degree m",
     )
 
 
@@ -238,8 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate an m-sequence")
     gen.add_argument("--m", type=int, required=True)
     _add_poly_flag(gen)
-    gen.add_argument("--format", choices=["bits", "csv"], default="bits")
-    gen.add_argument("--json", action="store_true")
+    output = gen.add_mutually_exclusive_group()
+    # no default: argparse would let a --format equal to its default pass beside --json
+    output.add_argument("--format", choices=["bits", "csv"])
+    output.add_argument("--json", action="store_true")
     gen.set_defaults(func=cmd_gen)
 
     acorr = sub.add_parser("acorr", help="arithmetic autocorrelation at one or all shifts", epilog=ALL_SHIFTS_COST)

@@ -23,15 +23,6 @@ from .errors import (
 MIN_DEGREE = 2
 MAX_DEGREE = 24
 
-# The default modulus of degree m is the smallest primitive mask,
-# find_primitive_polynomials(m, 1)[0], except at 14 and 16, where older
-# defaults (the smallest masks are 0x402B and 0x1002D) are kept so that default
-# output does not change.  Every default is re-verified by the GF2m constructor.
-PRIMITIVE_POLYS = {
-    14: 0x4443,   # x^14 + x^10 + x^6 + x + 1
-    16: 0x1100B,  # x^16 + x^12 + x^3 + x + 1
-}
-
 
 def _check_degree(m: int) -> None:
     if not isinstance(m, int) or not MIN_DEGREE <= m <= MAX_DEGREE:
@@ -266,8 +257,5 @@ class GF2m:
 
 
 def make_field(m: int, poly: int | None = None) -> GF2m:
-    """Pick the default modulus of degree m when poly is None, then GF2m(m, poly) validates it."""
-    if poly is None:
-        _check_degree(m)  # before the lookup, which an unhashable m would break
-        poly = PRIMITIVE_POLYS.get(m) or find_primitive_polynomials(m, 1)[0]
-    return GF2m(m, poly)
+    """GF2m(m, poly), which validates poly; by default the smallest primitive mask of degree m."""
+    return GF2m(m, find_primitive_polynomials(m, 1)[0] if poly is None else poly)

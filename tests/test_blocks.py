@@ -158,7 +158,7 @@ class TestAutocorrViaBlocks:
     def test_one_unequal_column_m16(self):
         a = m_sequence(make_field(16))
         n = a.period
-        positions = [0, 1, 2, 15, 16, n // 2, n - 2, n - 1]
+        positions = [0, 1, 2, 15, 16, n // 2, n - 2, n - 1, str(a).index("1")]
         assert {a[p] for p in positions} == {0, 1}
         for p in positions:
             b = flip(a, p)

@@ -74,6 +74,11 @@ class TestGen:
         assert "PolynomialFormatError" in err
         assert len(err.encode()) < 300
 
+    def test_format_excludes_json(self, capsys):
+        code, out, err = run(capsys, "gen", "--m", "3", "--json", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
+
     def test_poly_table_env_is_ignored(self, capsys, tmp_path, monkeypatch):
         # the modulus is named only by --poly; no environment variable is read
         table = tmp_path / "polys.txt"
@@ -165,8 +170,11 @@ class TestVerify:
     def test_poly_rows_match_polys_all(self, capsys):
         code, out, _ = run(capsys, "verify", "--m-range", "3..3", "--poly", "3,2,0", "--json")
         _, all_out, _ = run(capsys, "verify", "--m-range", "3..3", "--polys", "all", "--json")
-        rows = json.loads(out)["rows"]
+        doc = json.loads(out)
+        rows = doc["rows"]
         assert code == 0
+        assert doc["parameters"] == {"m_range": "3..3", "polys": "default", "poly": "3,2,0"}
+        assert json.loads(all_out)["parameters"]["poly"] is None
         assert len(rows) == 4
         assert rows == [r for r in json.loads(all_out)["rows"] if r["poly"] == "0xd"]
 
@@ -341,7 +349,7 @@ status,fail
 
 FAILING_VERIFY_DOC = {
     "command": "verify",
-    "parameters": {"m_range": "3..5", "polys": "default"},
+    "parameters": {"m_range": "3..5", "polys": "default", "poly": None},
     "rows": [
         {"check": "three_way", "m": 3, "poly": "0xb", "status": "fail",
          "taus_checked": {"direct": 6, "blocks": 6, "closed": 6}, "sampled": False},

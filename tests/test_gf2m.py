@@ -5,7 +5,6 @@ import pytest
 import arithcorr
 from arithcorr import errors
 from arithcorr.gf2m import (
-    PRIMITIVE_POLYS,
     find_primitive_polynomials,
     format_poly,
     is_irreducible,
@@ -96,21 +95,19 @@ class TestMakeField:
             make_field(3, poly)
         assert time.perf_counter() - start < 1.0
 
-    def test_builtin_table_all_valid(self):
-        for m in PRIMITIVE_POLYS:
-            assert make_field(m).n == (1 << m) - 1
-
 
 class TestDefaultModuli:
-    def test_defaults_above_table_frozen(self):
-        # every default is the smallest primitive mask except at 14 and 16
-        # (0x402b and 0x1002d are); changing one would change the default
-        # output of gen, acorr, dist and verify
+    def test_defaults_are_smallest_primitive_masks(self):
+        # every default is the smallest primitive mask, so `verify --polys all`
+        # checks the default field first; changing one would change the
+        # default output of gen, acorr, dist and verify
         expected = [
-            0x7, 0xB, 0x13, 0x25, 0x43, 0x83, 0x11D, 0x211, 0x409, 0x805, 0x1053, 0x201B, 0x4443, 0x8003,
-            0x1100B, 0x20009, 0x40027, 0x80027, 0x100009, 0x200005, 0x400003, 0x800021, 0x100001B,
+            0x7, 0xB, 0x13, 0x25, 0x43, 0x83, 0x11D, 0x211, 0x409, 0x805, 0x1053, 0x201B, 0x402B, 0x8003,
+            0x1002D, 0x20009, 0x40027, 0x80027, 0x100009, 0x200005, 0x400003, 0x800021, 0x100001B,
         ]
-        assert [make_field(m).modulus for m in range(2, 25)] == expected
+        defaults = [make_field(m).modulus for m in range(2, 25)]
+        assert defaults == expected
+        assert defaults == [find_primitive_polynomials(m, 1)[0] for m in range(2, 25)]
 
 
 class TestArithmetic:
