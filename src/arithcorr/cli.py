@@ -14,23 +14,23 @@ from array import array
 from collections import Counter
 from itertools import product
 
-from . import arith, blocks, closedform
-from .errors import ArithCorrError, DegreeOutOfRange, RangeFormatError, check_tau, excerpt
-from .gf2m import MIN_DEGREE, GF2m, find_primitive_polynomials, format_poly, make_field, parse_poly
+from . import arith, blocks, closedform, gf2m
+from .errors import ArithCorrError, RangeFormatError, check_tau, excerpt
+from .gf2m import MAX_DEGREE, MIN_DEGREE, GF2m, find_primitive_polynomials, format_poly, make_field, parse_poly
 from .sequences import m_sequence
 
-# Largest degree `verify` accepts; its checks walk all 2^m - 2 shifts, so the cost
-# at least doubles with each degree
-VERIFY_MAX_DEGREE = 16
 # Largest degree at which `verify` runs the blocks route at every tau; above it
-# the blocks route runs on spread sample taus and the three_way row says so
+# the blocks route runs on spread sample taus and the three_way row says so.
+# At every tau it would cost about 1.3 s at m = 15 and 4 s at m = 16
 THREE_WAY_EXHAUSTIVE_MAX_DEGREE = 14
 # Largest degree at which `verify` checks eqs. (4)-(5) and lemma 1's pattern counts
 COUNTING_MAX_DEGREE = 8
 # Timed on a 2-core x86-64 host with Python 3.11
 ALL_SHIFTS_COST = (
     "The direct route over all shifts (acorr --all, dist) does O(4^m) bit operations: "
-    "about 17 s at m = 18, 5 min at m = 20 and hours at m = 24."
+    "about 17 s at m = 18, 5 min at m = 20 and hours at m = 24. verify walks every shift "
+    "twice (the direct route and lemma 1's classical autocorrelation): about 3 s at m = 16, "
+    "9 s at m = 17 and 30 s at m = 18."
 )
 
 
@@ -193,20 +193,24 @@ def cmd_verify(args) -> int:
         raise RangeFormatError(f"malformed m-range {excerpt(args.m_range)}, expected A..B") from None
     if lo > hi:
         raise RangeFormatError(f"empty m-range {excerpt(args.m_range)}, expected A <= B")
-    if not (MIN_DEGREE <= lo <= hi <= VERIFY_MAX_DEGREE):
-        raise DegreeOutOfRange(f"m-range {excerpt(args.m_range)} outside {MIN_DEGREE}..{VERIFY_MAX_DEGREE}")
-    # one field at a time, so that no field's tables outlive its checks
+    gf2m._check_degree(lo)
+    gf2m._check_degree(hi)
+    # one field at a time, so that no field's tables outlive its checks; --poly fits
+    # one degree, so its fields are built first and a wrong range runs no check
     degrees = range(lo, hi + 1)
     if args.polys == "all":
         fields = (make_field(m, poly) for m in degrees for poly in find_primitive_polynomials(m, 3))
     else:
         fields = (_resolve_field(m, args.poly) for m in degrees)
+        if args.poly is not None:
+            fields = list(fields)
     rows, mismatches = [], []
     for ctx in fields:
         _verify_field(ctx, rows, mismatches)
     status = "fail" if mismatches else "pass"
     if args.json:
-        doc = {"command": "verify", "parameters": {"m_range": args.m_range, "polys": args.polys, "poly": args.poly}}
+        parameters = {"m_range": args.m_range, "polys": args.polys or "default", "poly": args.poly}
+        doc = {"command": "verify", "parameters": parameters}
         print(json.dumps(doc | {"rows": rows, "mismatches": mismatches, "status": status}))
     else:
         print("check,m,poly,status")
@@ -261,16 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--json", action="store_true")
     dist.set_defaults(func=cmd_dist)
 
-    verify = sub.add_parser("verify", help="run the full verification suite")
-    verify.add_argument(
-        "--m-range", required=True, help=f"degree range A..B, {MIN_DEGREE} <= A <= B <= {VERIFY_MAX_DEGREE}"
-    )
+    verify = sub.add_parser("verify", help="run the full verification suite", epilog=ALL_SHIFTS_COST)
+    verify.add_argument("--m-range", required=True, help=f"degree range A..B, {MIN_DEGREE} <= A <= B <= {MAX_DEGREE}")
     moduli = verify.add_mutually_exclusive_group()
     _add_poly_flag(moduli)
+    # no default: argparse would let a --polys equal to its default pass beside --poly
     moduli.add_argument(
         "--polys",
         choices=["default", "all"],
-        default="default",
         help="all: up to three primitive polynomials of each degree, the smallest masks first "
         "(find_primitive_polynomials(m, 3)), not every one; default: one modulus per degree",
     )

@@ -9,6 +9,7 @@ coefficient vector over the polynomial basis {1, pi, ..., pi^(m-1)}.
 from __future__ import annotations
 
 from array import array
+from itertools import islice
 
 from .errors import (
     DegreeMismatch,
@@ -168,16 +169,11 @@ def find_primitive_polynomials(m: int, count: int) -> list[int]:
     """Up to `count` primitive polynomials of degree m, smallest bitmasks first.
 
     Returns fewer than `count` when GF(2^m) has fewer primitive polynomials
-    (m = 3 and m = 4 have only two each; m = 2 has one).
+    (m = 3 and m = 4 have only two each; m = 2 has one).  A negative or
+    fractional count raises ValueError.
     """
     _check_degree(m)
-    found = []
-    for mask in range((1 << m) | 1, 1 << (m + 1), 2):
-        if is_primitive(mask):
-            found.append(mask)
-            if len(found) == count:
-                break
-    return found
+    return list(islice(filter(is_primitive, range((1 << m) | 1, 1 << (m + 1), 2)), count))
 
 
 class GF2m:

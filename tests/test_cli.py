@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arithcorr import arith, blocks, closedform
+from arithcorr import arith, blocks, cli, closedform
 from arithcorr.cli import main
 from arithcorr.gf2m import make_field
 from arithcorr.sequences import BinarySequence, m_sequence
@@ -149,9 +149,9 @@ BAD_M_RANGES = {
     "5": "RangeFormatError: malformed m-range '5', expected A..B",
     "5..": "RangeFormatError: malformed m-range '5..', expected A..B",
     "a..b": "RangeFormatError: malformed m-range 'a..b', expected A..B",
-    "1..3": "DegreeOutOfRange: m-range '1..3' outside 2..16",
+    "1..3": "DegreeOutOfRange: m=1 outside 2..24",
     "9..8": "RangeFormatError: empty m-range '9..8', expected A <= B",
-    "2..17": "DegreeOutOfRange: m-range '2..17' outside 2..16",
+    "2..25": "DegreeOutOfRange: m=25 outside 2..24",
 }
 
 
@@ -178,15 +178,19 @@ class TestVerify:
         assert len(rows) == 4
         assert rows == [r for r in json.loads(all_out)["rows"] if r["poly"] == "0xd"]
 
-    def test_poly_of_other_degree_exits_2(self, capsys):
+    def test_poly_of_other_degree_exits_2(self, capsys, monkeypatch):
+        # the --poly fields are built before the first check, so m = 3 is not verified
+        calls = []
+        monkeypatch.setattr(cli, "_verify_field", lambda *args: calls.append(args))
         code, out, err = run(capsys, "verify", "--m-range", "3..4", "--poly", "3,2,0")
-        assert (code, out) == (2, "")
+        assert (code, out, calls) == (2, "", [])
         assert err == "error: DegreeMismatch: polynomial 3,2,0 has degree 3, expected 4\n"
 
     def test_poly_excludes_polys(self, capsys):
-        code, out, err = run(capsys, "verify", "--m-range", "3..3", "--poly", "3,2,0", "--polys", "all")
-        assert (code, out) == (2, "")
-        assert "not allowed with argument" in err
+        for polys in ("all", "default"):
+            code, out, err = run(capsys, "verify", "--m-range", "3..3", "--poly", "3,2,0", "--polys", polys)
+            assert (code, out) == (2, "")
+            assert "not allowed with argument" in err
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--m-range", "2..3", "--json")
@@ -201,13 +205,17 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: {BAD_M_RANGES[bad]}\n"
 
-    # m = 15, above the exhaustive cap, samples 66 of its 32766 taus for the blocks route
-    @pytest.mark.parametrize("m, blocks, sampled", [(5, 30, False), (15, 66, True)])
+    # m = 15, above the exhaustive cap, samples 66 of its 32766 taus for the
+    # blocks route; m = 17 (slow) is the first degree with 'I'-typecode Zech tables
+    @pytest.mark.parametrize(
+        "m, blocks, sampled", [(5, 30, False), (15, 66, True), pytest.param(17, 66, True, marks=pytest.mark.slow)]
+    )
     def test_three_way_coverage(self, capsys, m, blocks, sampled):
         code, out, _ = run(capsys, "verify", "--m-range", f"{m}..{m}", "--json")
-        (row,) = [r for r in json.loads(out)["rows"] if r["check"] == "three_way"]
+        doc = json.loads(out)
+        (row,) = [r for r in doc["rows"] if r["check"] == "three_way"]
         n = (1 << m) - 1
-        assert code == 0
+        assert (code, doc["status"]) == (0, "pass")
         assert row["taus_checked"] == {"direct": n - 1, "blocks": blocks, "closed": n - 1}
         assert row["sampled"] is sampled
 

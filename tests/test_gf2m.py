@@ -242,6 +242,14 @@ class TestPrimitiveSearch:
     def test_m3_has_exactly_two(self):
         assert find_primitive_polynomials(3, 5) == [0b1011, 0b1101]
 
+    def test_zero_count_finds_none(self):
+        assert find_primitive_polynomials(4, 0) == []
+
+    @pytest.mark.parametrize("count", [-1, 2.5])
+    def test_bad_count_raises(self, count):
+        with pytest.raises(ValueError):
+            find_primitive_polynomials(4, count)
+
     @pytest.mark.parametrize("m", [5, 8, 12])
     def test_found_polys_build_fields(self, m):
         polys = find_primitive_polynomials(m, 3)
