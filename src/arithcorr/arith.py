@@ -18,12 +18,13 @@ def arithmetic_autocorr(seq: BinarySequence, tau: int) -> int:
     n = seq.period
     check_tau(tau, 1, n)
     s = seq.value
-    d = s - rotate_value(s, tau, n)
-    if d == 0:
-        raise ShiftEqualsSequence(f"shift by tau={tau} equals the sequence")
-    if d > 0:
-        return n - 2 * d.bit_count()
-    return 2 * (-d).bit_count() - n
+    r = rotate_value(s, tau, n)
+    # the larger minus the smaller, so no n-bit difference is negated
+    if s > r:
+        return n - 2 * (s - r).bit_count()
+    if s < r:
+        return 2 * (r - s).bit_count() - n
+    raise ShiftEqualsSequence(f"shift by tau={tau} equals the sequence")
 
 
 def distribution(seq: BinarySequence) -> dict[int, int]:

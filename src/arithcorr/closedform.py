@@ -11,7 +11,7 @@ its tau-shift, which is what the counting check compares them with.
 
 from __future__ import annotations
 
-from .errors import LOutOfRange, NonIntegerCount
+from .errors import LOutOfRange, NonIntegerCount, excerpt_repr
 from .gf2m import GF2m, _check_degree
 
 
@@ -52,7 +52,7 @@ def lemma4_count(ctx: GF2m, tau: int, l: int) -> int:
     and a remainder raises NonIntegerCount.
     """
     if not isinstance(l, int) or not 1 <= l <= ctx.m - 1:
-        raise LOutOfRange(f"l={l!r} outside 1..{ctx.m - 1}")
+        raise LOutOfRange(f"l={excerpt_repr(l)} outside 1..{ctx.m - 1}")
     e, b0 = _expansion(ctx, tau)
     sign = -1 if b0 else 1  # (-1)^b0
     if l == ctx.m - 1:

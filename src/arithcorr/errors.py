@@ -11,6 +11,17 @@ def excerpt(text: str) -> str:
     return repr(text[:EXCERPT_CHARS]) + "..."
 
 
+def excerpt_repr(value) -> str:
+    """repr of a value that is not text, such as an int, cut like excerpt."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past the interpreter's limit on decimal digits
+        return f"<int of {value.bit_length()} bits>"
+    if len(text) <= EXCERPT_CHARS:
+        return text
+    return text[:EXCERPT_CHARS] + "..."
+
+
 class ArithCorrError(Exception):
     """Base class for all errors raised by arithcorr."""
 
@@ -46,7 +57,7 @@ class TauOutOfRange(ArithCorrError):
 def check_tau(tau: int, lo: int, n: int) -> None:
     """Raise TauOutOfRange unless tau is an int in lo..n-1."""
     if not isinstance(tau, int) or not lo <= tau <= n - 1:
-        raise TauOutOfRange(f"tau={tau!r} outside {lo}..{n - 1}")
+        raise TauOutOfRange(f"tau={excerpt_repr(tau)} outside {lo}..{n - 1}")
 
 
 class InvalidSequence(ArithCorrError, ValueError):

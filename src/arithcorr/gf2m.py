@@ -19,6 +19,7 @@ from .errors import (
     PolynomialFormatError,
     check_tau,
     excerpt,
+    excerpt_repr,
 )
 
 MIN_DEGREE = 2
@@ -27,7 +28,7 @@ MAX_DEGREE = 24
 
 def _check_degree(m: int) -> None:
     if not isinstance(m, int) or not MIN_DEGREE <= m <= MAX_DEGREE:
-        raise DegreeOutOfRange(f"m={m!r} outside {MIN_DEGREE}..{MAX_DEGREE}")
+        raise DegreeOutOfRange(f"m={excerpt_repr(m)} outside {MIN_DEGREE}..{MAX_DEGREE}")
 
 
 def parse_poly(text: str) -> int:
@@ -58,7 +59,7 @@ def parse_poly(text: str) -> int:
         if exp < 0:
             raise PolynomialFormatError(f"negative exponent in {excerpt(text)}")
         if exp > MAX_DEGREE:
-            raise DegreeOutOfRange(f"exponent {exp} above {MAX_DEGREE}")
+            raise DegreeOutOfRange(f"exponent {excerpt_repr(exp)} above {MAX_DEGREE}")
         if mask >> exp & 1:
             raise PolynomialFormatError(f"repeated exponent {exp} in {excerpt(text)}")
         mask |= 1 << exp

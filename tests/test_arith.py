@@ -1,13 +1,15 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithcorr import errors
 from arithcorr.arith import arithmetic_autocorr, distribution
 from arithcorr.gf2m import make_field
 from arithcorr.sequences import BinarySequence, m_sequence
+from conftest import eq1_direct
 
 bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
+bits_and_tau = bit_lists.flatmap(lambda bits: st.tuples(st.just(bits), st.integers(1, len(bits) - 1)))
 
 
 class TestSigmaWeight:
@@ -33,6 +35,22 @@ class TestArithmeticAutocorr:
     def test_shift_equals_sequence(self):
         with pytest.raises(errors.ShiftEqualsSequence):
             arithmetic_autocorr(BinarySequence("0101"), 2)
+
+    # the examples cover sigma(shift) above sigma, below it, and equal to it
+    @settings(max_examples=300)
+    @example(([1, 0, 0, 1, 0, 1, 1], 1))
+    @example(([1, 0, 0, 1, 0, 1, 1], 5))
+    @example(([0, 1, 0, 1], 2))
+    @given(bits_and_tau)
+    def test_matches_subtract_then_negate(self, case):
+        bits, tau = case
+        seq = BinarySequence(bits)
+        shifted = seq.shift(tau)
+        if shifted == seq:
+            with pytest.raises(errors.ShiftEqualsSequence):
+                arithmetic_autocorr(seq, tau)
+        else:
+            assert arithmetic_autocorr(seq, tau) == eq1_direct(seq, shifted)
 
     @given(bit_lists, st.data())
     def test_bound(self, bits, data):

@@ -155,6 +155,22 @@ BAD_M_RANGES = {
 }
 
 
+# an over-long integer input, by the option that takes it, and the one error
+# line it gives: the value is quoted by its first 40 characters
+NINES = "9" * 300
+LONG_INT_ERRORS = {
+    "m-range": (["verify", "--m-range", f"2..{NINES}"], f"DegreeOutOfRange: m={NINES[:40]}... outside 2..24"),
+    "m": (["gen", "--m", NINES], f"DegreeOutOfRange: m={NINES[:40]}... outside 2..24"),
+    "poly": (["gen", "--m", "3", "--poly", NINES], f"DegreeOutOfRange: exponent {NINES[:40]}... above 24"),
+    "tau": (["acorr", "--m", "3", "--tau", NINES], f"TauOutOfRange: tau={NINES[:40]}... outside 1..6"),
+}
+
+
+@pytest.mark.parametrize("argv, line", LONG_INT_ERRORS.values(), ids=LONG_INT_ERRORS.keys())
+def test_long_int_error_quotes_a_prefix(capsys, argv, line):
+    assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
 class TestVerify:
     def test_small_range_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--m-range", "2..5")
@@ -251,11 +267,17 @@ class TestVerify:
         and the eq. (4) count at tau = 4, l = 2, in every field."""
         predict, classical, lemma4 = (
             closedform.predict_acorr,
-            BinarySequence.classical_autocorr,
+            BinarySequence.classical_autocorrs,
             closedform.lemma4_count,
         )
+
+        def broken_classical(self):
+            corrs = classical(self)
+            corrs[3] += 1
+            return corrs
+
         monkeypatch.setattr(closedform, "predict_acorr", lambda ctx, tau: predict(ctx, tau) + (tau == 2))
-        monkeypatch.setattr(BinarySequence, "classical_autocorr", lambda self, tau: classical(self, tau) + (tau == 3))
+        monkeypatch.setattr(BinarySequence, "classical_autocorrs", broken_classical)
         monkeypatch.setattr(
             closedform, "lemma4_count", lambda ctx, tau, l: lemma4(ctx, tau, l) + ((tau, l) == (4, 2))
         )

@@ -86,6 +86,9 @@ class TestLemma4:
         for l in (0, 3, 2.0):
             with pytest.raises(errors.LOutOfRange):
                 lemma4_count(ctx, 1, l)
+        # a long l is quoted by its first 40 digits
+        with pytest.raises(errors.LOutOfRange, match=r"^l=1(0{39})\.\.\. outside 1\.\.2$"):
+            lemma4_count(ctx, 1, 10**300)
 
     def test_non_integer_count_is_typed(self, monkeypatch):
         # e = 3 cannot occur for m = 3; with l = 1 it leaves the prefactor

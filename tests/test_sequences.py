@@ -168,6 +168,11 @@ class TestClassicalAutocorr:
             with pytest.raises(errors.TauOutOfRange):
                 seq.classical_autocorr(tau)
 
+    def test_int_past_the_digit_limit_is_typed(self):
+        # repr of this tau raises ValueError; the error names its size instead
+        with pytest.raises(errors.TauOutOfRange, match=r"^tau=<int of 16610 bits> outside 0\.\.14$"):
+            m_sequence(make_field(4)).classical_autocorr(10**5000)
+
     @pytest.mark.parametrize("m", range(2, 9))
     def test_ideal_for_m_sequences(self, m):
         seq = m_sequence(make_field(m))
@@ -180,6 +185,32 @@ class TestClassicalAutocorr:
             for tau in range(n):
                 naive = sum((-1) ** (seq[i] ^ seq[i + tau]) for i in range(n))
                 assert seq.classical_autocorr(tau) == naive
+
+
+class TestClassicalAutocorrs:
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(0, 1), min_size=2, max_size=64))
+    def test_matches_per_tau(self, bits):
+        seq = BinarySequence(bits)
+        corrs = seq.classical_autocorrs()
+        assert corrs.typecode == "i"
+        assert list(corrs) == [seq.classical_autocorr(tau) for tau in range(seq.period)]
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_two_level_for_m_sequences(self, m):
+        corrs = m_sequence(make_field(m)).classical_autocorrs()
+        assert len(corrs) == (1 << m) - 1
+        assert corrs[0] == (1 << m) - 1
+        assert set(corrs[1:]) == {-1}
+
+    @pytest.mark.parametrize("n", [65535, 65536])
+    def test_slot_width_edge(self, n):
+        # all ones: the lag-0 count is n, 0xFFFF in a 2-byte slot at 65535 and
+        # 0x10000, which needs a 4-byte slot, at 65536
+        corrs = BinarySequence("1" * n).classical_autocorrs()
+        assert len(corrs) == n
+        taus = [*range(0, n, 4093), 1, n - 1]
+        assert [corrs[tau] for tau in taus] == [n] * len(taus)
 
 
 @pytest.mark.parametrize("m", range(2, 7))
