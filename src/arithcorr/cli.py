@@ -30,7 +30,7 @@ ALL_SHIFTS_COST = (
     "The direct route over all shifts (acorr --all, dist) does O(4^m) bit operations: "
     "about 17 s at m = 18, 5 min at m = 20 and hours at m = 24. verify walks every shift "
     "once, for the direct route, and checks lemma 1's classical autocorrelation by "
-    "big-int products: about 2 s at m = 16, 8 s at m = 17 and 20 s at m = 18."
+    "big-int products: about 1.5 s at m = 16, 8 s at m = 17 and 25 s at m = 18."
 )
 
 

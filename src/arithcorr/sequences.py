@@ -14,7 +14,7 @@ import sys
 from array import array
 
 from .errors import InvalidSequence, PatternTooLong, check_tau
-from .gf2m import GF2m
+from .gf2m import GF2m, _polypowmod
 
 # The values that count as bits (True and False are 1 and 0 as keys)
 _BITS = {0: 0, 1: 1, "0": 0, "1": 1}
@@ -189,17 +189,22 @@ class BinarySequence:
 def m_sequence(ctx: GF2m) -> BinarySequence:
     """The m-sequence (T(pi^0), T(pi^1), ..., T(pi^(n-1))) for the given field.
 
-    Iterates x <- x*pi with the reduction done by hand, so one period costs
-    O(n*m) bit operations plus n trace inner products; the traces go into
-    one byte each and are packed into the value at the end.
+    The first m terms are T(pi^i) by definition.  The trace is linear, so for
+    a = x^L mod f the terms s_(L+i) = T(pi^L * pi^i) = sum over the set bits j
+    of a of s_(i+j); once L terms are known, this gives the next L - m + 1 at
+    once, as the XOR of the known value shifted right by each such j.  About
+    m doubling rounds of at most m shifts of an n-bit int build one period.
     """
-    m, mod, n, trace = ctx.m, ctx.modulus, ctx.n, ctx.trace
-    top = 1 << m
-    digits = bytearray(n)
-    x = 1
-    for i in range(n):
-        digits[i] = trace(x)
-        x <<= 1
-        if x & top:
-            x ^= mod
-    return BinarySequence._from_value(_pack(digits), n)
+    m, n, f = ctx.m, ctx.n, ctx.modulus
+    value = sum(ctx.trace(1 << i) << i for i in range(m))
+    length = m
+    while length < n:
+        count = min(length - m + 1, n - length)
+        a = _polypowmod(2, length, f)
+        block = 0
+        for j in range(a.bit_length()):
+            if a >> j & 1:
+                block ^= value >> j
+        value |= (block & ((1 << count) - 1)) << length
+        length += count
+    return BinarySequence._from_value(value, n)

@@ -57,6 +57,23 @@ def trace_by_squaring(ctx: GF2m, a: int) -> int:
     return acc
 
 
+def trace_walk_m_sequence(ctx: GF2m) -> BinarySequence:
+    """m-sequence straight from its definition s_lambda = T(pi^lambda).
+
+    Walks x <- x*pi over the whole period, reducing by hand, with one trace
+    per element: O(n*m), against the jump-ahead rounds of m_sequence.
+    """
+    top = 1 << ctx.m
+    digits = bytearray(ctx.n)
+    x = 1
+    for i in range(ctx.n):
+        digits[i] = ctx.trace(x)
+        x <<= 1
+        if x & top:
+            x ^= ctx.modulus
+    return BinarySequence(digits)
+
+
 def lfsr_m_sequence(ctx: GF2m) -> BinarySequence:
     """m-sequence from the LFSR recurrence with taps read off the modulus.
 

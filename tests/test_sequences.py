@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithcorr import errors
-from arithcorr.gf2m import make_field
+from arithcorr.gf2m import MAX_DEGREE, find_primitive_polynomials, make_field
 from arithcorr.sequences import BinarySequence, m_sequence, rotate_value
-from conftest import lfsr_m_sequence, naive_pattern_count, random_sequence
+from conftest import lfsr_m_sequence, naive_pattern_count, random_sequence, trace_walk_m_sequence
 
 
 class TestConstruction:
@@ -78,10 +78,24 @@ class TestMSequence:
     def test_m2(self):
         assert str(m_sequence(make_field(2))) == "011"
 
-    @pytest.mark.parametrize("m", range(2, 11))
+    @pytest.mark.parametrize("m", range(2, MAX_DEGREE + 1))
     def test_balance(self, m):
-        seq = m_sequence(make_field(m))
-        assert sum(seq) == 1 << (m - 1)
+        ctx = make_field(m)
+        value = m_sequence(ctx).value
+        assert value.bit_count() == 1 << (m - 1)
+        assert value < 1 << ctx.n
+        assert [value >> i & 1 for i in range(m)] == [ctx.trace(1 << i) for i in range(m)]
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_agrees_with_trace_walk_for_every_primitive_poly(self, m):
+        for poly in find_primitive_polynomials(m, 1 << m):
+            ctx = make_field(m, poly)
+            assert m_sequence(ctx) == trace_walk_m_sequence(ctx)
+
+    @pytest.mark.parametrize("m", range(11, 19))
+    def test_agrees_with_trace_walk_for_the_default_modulus(self, m):
+        ctx = make_field(m)
+        assert m_sequence(ctx) == trace_walk_m_sequence(ctx)
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_agrees_with_lfsr_recurrence(self, m):
@@ -89,8 +103,6 @@ class TestMSequence:
         assert m_sequence(ctx) == lfsr_m_sequence(ctx)
 
     def test_lfsr_agreement_on_alternate_polys(self):
-        from arithcorr.gf2m import find_primitive_polynomials
-
         for m in (4, 5, 6):
             for poly in find_primitive_polynomials(m, 2):
                 ctx = make_field(m, poly)
