@@ -29,8 +29,8 @@ COUNTING_MAX_DEGREE = 8
 ALL_SHIFTS_COST = (
     "The direct route over all shifts (acorr --all, dist) does O(4^m) bit operations: "
     "about 17 s at m = 18, 5 min at m = 20 and hours at m = 24. verify walks every shift "
-    "once, for the direct route, and checks lemma 1's classical autocorrelation by "
-    "big-int products: about 1.5 s at m = 16, 8 s at m = 17 and 25 s at m = 18."
+    "once, for the direct route, and checks lemma 1's classical autocorrelation from "
+    "one decimal product: about 1.5 s at m = 16, 5 s at m = 17 and 19 s at m = 18."
 )
 
 
@@ -131,7 +131,7 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
     def miss(check, kind, **detail):
         bad[check].append({"check": kind, "m": m, "poly": poly, **detail})
 
-    # lemma 1: two-level classical autocorrelation, every tau from big-int products;
+    # lemma 1: two-level classical autocorrelation, every tau from one decimal product;
     # the array is dropped before the per-tau pass allocates its own
     for tau, classical in enumerate(seq.classical_autocorrs()):
         if tau and classical != -1:

@@ -10,8 +10,8 @@ are derived from the value on demand.
 
 from __future__ import annotations
 
-import sys
 from array import array
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 
 from .errors import InvalidSequence, PatternTooLong, check_tau
 from .gf2m import GF2m, _polypowmod
@@ -20,12 +20,8 @@ from .gf2m import GF2m, _polypowmod
 _BITS = {0: 0, 1: 1, "0": 0, "1": 1}
 # bytes 0/1 to the ASCII digits int(..., 2) reads
 _ASCII_DIGITS = bytes.maketrans(b"\0\1", b"01")
-# and back
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-# classical_autocorrs multiplies in blocks of n/_BLOCKS slots: at n = 65535 its
-# transient is 0.8 MiB, against 1.6 MiB for one n-slot product, in about the
-# same time
-_BLOCKS = 4
+# classical_autocorrs' arithmetic: exact, and libmpdec multiplies by a number-theoretic transform
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)
 # bits per slice of CSV rows built before joining
 _CSV_SLICE = 4096
 
@@ -105,52 +101,36 @@ class BinarySequence:
         return n - 2 * hd
 
     def classical_autocorrs(self) -> array:
-        """classical_autocorr(tau) for tau = 0..n-1, read off big-int products.
+        """classical_autocorr(tau) for tau = 0..n-1, read off one decimal product.
 
-        Each bit goes into a slot of 2 bytes, or 4 bytes when n >= 2^16: no
-        count exceeds n, so a count never carries into the next slot.  The
-        packed bits times their slot-reversal holds, in slot k, the acyclic
-        count L[k] of positions where s_i = s_(i+n-1-k) = 1; the cyclic count
-        is c(tau) = L[n-1-tau] + L[tau-1], and C(tau) = n - 4w + 4c(tau) for
-        the weight w = L[n-1].  Only the low half L[0..n-1] is formed, from
-        the _BLOCKS * (_BLOCKS + 1) / 2 products of n/_BLOCKS-slot blocks that
-        reach it; the cost is O(M(n * slot)), for M(b) the cost of multiplying
-        two b-byte ints, in place of n rotations and bit counts.
+        Each bit goes into a decimal slot of k = len(str(n)) digits; no count
+        exceeds n, so none carries into the next slot.  The packed bits times
+        their slot-reversal, high half added onto low half, holds in slot
+        n-1-tau (the tau-th from the left) the count c(tau) of i with
+        s_i = s_(i+tau) = 1; C(tau) = n - 4w + 4c(tau) for the weight w = c(0).
         """
         n = self.period
-        slot, typecode = (2, "H") if n < 1 << 16 else (4, "I")
-        # read little-endian, slot i holds s_i in `ones` and s_(n-1-i) in `reversal`
-        digits = format(self.value, f"0{n}b").encode().translate(_DIGIT_BYTES)
-        ones = bytearray(slot * n)
-        ones[::slot] = digits[::-1]
-        reversal = bytearray(slot * n)
-        reversal[::slot] = digits
-        del digits
-        # block i of ones times block j of the reversal starts at block i + j,
-        # so the pairs with i + j >= _BLOCKS reach only the high half
-        width = slot * -(-n // _BLOCKS)
-        low = 0
-        for d in reversed(range(_BLOCKS)):
-            diagonal = sum(
-                int.from_bytes(ones[i * width : (i + 1) * width], "little")
-                * int.from_bytes(reversal[(d - i) * width : (d - i + 1) * width], "little")
-                for i in range(d + 1)
-            )
-            low = (low << 8 * width) + diagonal
-            del diagonal
+        k = len(str(n))
+        width = k * n
+        # the t-th k digits from the left hold s_(n-1-t) in `ones`, s_t in `reversal`
+        bits = format(self.value, f"0{n}b").encode()
+        slots = bytearray(b"0") * width
+        slots[k - 1 :: k] = bits
+        ones = Decimal(slots.decode())
+        slots[k - 1 :: k] = bits[::-1]
+        reversal = Decimal(slots.decode())
+        del bits, slots
+        product = _EXACT.multiply(ones, reversal)
         del ones, reversal
-        raw = low.to_bytes(width * (_BLOCKS + 1), "little")
-        del low
-        counts = array(typecode)
-        counts.frombytes(memoryview(raw)[: slot * n])
-        del raw
-        if sys.byteorder != "little":
-            counts.byteswap()
-        base = n - 4 * counts[n - 1]
-        corrs = array("i", [n])
-        # tau = 1..n-1 pairs L[n-1-tau] with L[tau-1]
-        corrs.extend(base + 4 * (a + b) for a, b in zip(counts[n - 2 :: -1], counts))
-        return corrs
+        text = str(product)
+        del product
+        # a sparse sequence's product has fewer than k n digits and no high half
+        split = max(0, len(text) - width)
+        low, high = Decimal(text[split:]), Decimal(text[:split] or 0)
+        del text
+        text = str(_EXACT.add(low, high)).zfill(width)
+        base = n - 4 * int(text[:k])
+        return array("i", (base + 4 * int(text[i : i + k]) for i in range(0, width, k)))
 
     def to_csv(self) -> str:
         """CSV export, header `lambda,bit` then one row per index."""

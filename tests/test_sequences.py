@@ -201,28 +201,32 @@ class TestClassicalAutocorr:
 
 class TestClassicalAutocorrs:
     @settings(max_examples=300)
-    @given(st.lists(st.integers(0, 1), min_size=2, max_size=64))
+    # periods up to 1200 reach slots of 1 to 4 decimal digits; drawn as one
+    # int, since a list strategy rarely draws more than a few dozen items
+    @given(st.integers(2, 1200).flatmap(lambda n: st.integers(0, (1 << n) - 1).map(lambda v: format(v, f"0{n}b"))))
     def test_matches_per_tau(self, bits):
         seq = BinarySequence(bits)
         corrs = seq.classical_autocorrs()
         assert corrs.typecode == "i"
         assert list(corrs) == [seq.classical_autocorr(tau) for tau in range(seq.period)]
 
-    @pytest.mark.parametrize("m", range(2, 17))
+    @pytest.mark.parametrize(
+        "m", [*range(2, 19), *(pytest.param(m, marks=pytest.mark.slow) for m in range(19, 23))]
+    )
     def test_two_level_for_m_sequences(self, m):
         corrs = m_sequence(make_field(m)).classical_autocorrs()
         assert len(corrs) == (1 << m) - 1
         assert corrs[0] == (1 << m) - 1
         assert set(corrs[1:]) == {-1}
 
-    @pytest.mark.parametrize("n", [65535, 65536])
-    def test_slot_width_edge(self, n):
-        # all ones: the lag-0 count is n, 0xFFFF in a 2-byte slot at 65535 and
-        # 0x10000, which needs a 4-byte slot, at 65536
-        corrs = BinarySequence("1" * n).classical_autocorrs()
-        assert len(corrs) == n
-        taus = [*range(0, n, 4093), 1, n - 1]
-        assert [corrs[tau] for tau in taus] == [n] * len(taus)
+    @pytest.mark.parametrize("n", [n for k in range(1, 5) for n in (10**k - 1, 10**k, 10**k + 1)])
+    def test_decimal_slot_width_edge(self, n):
+        # the slot width len(str(n)) grows by one digit between 10^k - 1 and
+        # 10^k; a sparse sequence's product is shorter than the n slots it is
+        # folded into
+        for bits in ("1" * n, "1" + "0" * (n - 1), "1" + "0" * (n // 2) + "1" + "0" * (n - n // 2 - 2)):
+            seq = BinarySequence(bits)
+            assert list(seq.classical_autocorrs()) == [seq.classical_autocorr(tau) for tau in range(n)]
 
 
 @pytest.mark.parametrize("m", range(2, 7))
