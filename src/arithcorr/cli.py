@@ -1,6 +1,6 @@
 """Command-line front end: generation, correlation, distribution, verification.
 
-Exit codes: 0 = all checks pass, 1 = mathematical mismatch, 2 = usage error.
+Exit codes: 0 = all checks pass, 1 = mathematical mismatch, 2 = usage error, 3 = internal error.
 Output is CSV by default (`--json` switches to a single JSON document) and
 deterministic: rows sorted by tau ascending, distributions by value ascending.
 """
@@ -19,18 +19,12 @@ from .errors import ArithCorrError, RangeFormatError, check_tau, excerpt
 from .gf2m import MAX_DEGREE, MIN_DEGREE, GF2m, find_primitive_polynomials, format_poly, make_field, parse_poly
 from .sequences import m_sequence
 
-# Largest degree at which `verify` runs the blocks route at every tau; above it
-# the blocks route runs on spread sample taus and the three_way row says so.
-# At every tau it would cost about 1.3 s at m = 15 and 4 s at m = 16
-THREE_WAY_EXHAUSTIVE_MAX_DEGREE = 14
-# Largest degree at which `verify` checks eqs. (4)-(5) and lemma 1's pattern counts
-COUNTING_MAX_DEGREE = 8
 # Timed on a 2-core x86-64 host with Python 3.11
 ALL_SHIFTS_COST = (
-    "The direct route over all shifts (acorr --all, dist) does O(4^m) bit operations: "
-    "about 17 s at m = 18, 5 min at m = 20 and hours at m = 24. verify walks every shift "
-    "once, for the direct route, and checks lemma 1's classical autocorrelation from "
-    "one decimal product: about 1.5 s at m = 16, 5 s at m = 17 and 19 s at m = 18."
+    "The direct route over all shifts (acorr --all, dist) does O(4^m) bit operations: about 17 s at m = 18, "
+    "5 min at m = 20, 2 h at m = 22 and 30 h at m = 24. verify walks every shift once, for the direct route, "
+    "and checks lemma 1's classical autocorrelation from one decimal product: about 1.3 s at m = 16, 4 s at "
+    "m = 17, 15 s at m = 18 and 55 s at m = 19; above m = 18 the direct route at every tau dominates its time."
 )
 
 
@@ -125,7 +119,14 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
     m, n = ctx.m, ctx.n
     poly = f"0x{ctx.modulus:x}"
     seq = m_sequence(ctx)
-    checks = ["three_way", "lemma1"] + (["counting"] if m <= COUNTING_MAX_DEGREE else []) + ["distribution"]
+    # the taus each route checks, verify's coverage stated once: direct and closed at
+    # every tau (the distribution reads every direct value), blocks at every tau up to
+    # m = 14 (every tau would cost about 1.3 s at m = 15 and 4 s at m = 16), above it at
+    # 65 spread taus plus n - 1; counting, eqs. (4)-(5) and lemma 1's patterns, to m = 8
+    every = range(1, n)
+    taus = {"direct": every, "closed": every, "counting": every if m <= 8 else ()}
+    taus["blocks"] = every if m <= 14 else {*range(1, n, (n - 1) // 64), n - 1}
+    checks = ["three_way", "lemma1"] + (["counting"] if taus["counting"] else []) + ["distribution"]
     bad = {check: [] for check in checks}
 
     def miss(check, kind, **detail):
@@ -137,19 +138,15 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
         if tau and classical != -1:
             miss("lemma1", "classical", tau=tau)
 
-    # above THREE_WAY_EXHAUSTIVE_MAX_DEGREE the blocks route runs at 65 spread
-    # taus plus n - 1, and the three_way row says so
-    step = 1 if m <= THREE_WAY_EXHAUSTIVE_MAX_DEGREE else (n - 1) // 64
-    block_taus = {*range(1, n, step), n - 1}
     quarter = 1 << (m - 2)
     directs = array("i", [0]) * n
-    for tau in range(1, n):
+    for tau in taus["direct"]:
         directs[tau] = direct = arith.arithmetic_autocorr(seq, tau)
         closed = closedform.predict_acorr(ctx, tau)
-        via_blocks = blocks.autocorr_via_blocks(seq, seq.shift(tau)) if tau in block_taus else None
+        via_blocks = blocks.autocorr_via_blocks(seq, seq.shift(tau)) if tau in taus["blocks"] else None
         if direct != closed or via_blocks not in (None, direct):
             miss("three_way", "three_way", tau=tau, direct=direct, blocks=via_blocks, closed=closed)
-        if m <= COUNTING_MAX_DEGREE:
+        if tau in taus["counting"]:
             # walked in pi-power order, the trace conditions of eqs. (4)-(5)
             # select exactly these windows: eq4[l] = N(0,0;l)+N(0,1;l),
             # eq5[l] = N(1,0;l)+N(1,1;l)
@@ -165,7 +162,7 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
                 miss("counting", "weighted_sum", tau=tau)
 
     # lemma 1's pattern counts, and the full distribution against the closed form
-    if m <= COUNTING_MAX_DEGREE:
+    if taus["counting"]:
         for l in range(1, m + 1):
             for pattern in product((0, 1), repeat=l):
                 expected = (1 << (m - l)) - 1 if not any(pattern) else 1 << (m - l)
@@ -183,8 +180,8 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
     for check, records in bad.items():
         row = {"check": check, "m": m, "poly": poly, "status": "fail" if records else "pass"}
         if check == "three_way":
-            row["taus_checked"] = {"direct": n - 1, "blocks": len(block_taus), "closed": n - 1}
-            row["sampled"] = len(block_taus) < n - 1
+            row["taus_checked"] = {route: len(taus[route]) for route in ("direct", "blocks", "closed")}
+            row["sampled"] = len(taus["blocks"]) < n - 1
         rows.append(row)
         mismatches.extend(records)
 
@@ -299,6 +296,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, not bad input: 1 stays the code for a mismatch
+        sys.excepthook(*sys.exc_info())  # the traceback, on stderr
+        return 3
 
 
 def entry() -> None:

@@ -221,10 +221,12 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: {BAD_M_RANGES[bad]}\n"
 
-    # m = 15, above the exhaustive cap, samples 66 of its 32766 taus for the
-    # blocks route; m = 17 (slow) is the first degree with 'I'-typecode Zech tables
+    # m = 14 is the last degree with the blocks route at every tau; m = 15
+    # samples 66 of its 32766 taus; m = 17 (slow) is the first degree with
+    # 'I'-typecode Zech tables
     @pytest.mark.parametrize(
-        "m, blocks, sampled", [(5, 30, False), (15, 66, True), pytest.param(17, 66, True, marks=pytest.mark.slow)]
+        "m, blocks, sampled",
+        [(5, 30, False), (14, 16382, False), (15, 66, True), pytest.param(17, 66, True, marks=pytest.mark.slow)],
     )
     def test_three_way_coverage(self, capsys, m, blocks, sampled):
         code, out, _ = run(capsys, "verify", "--m-range", f"{m}..{m}", "--json")
@@ -234,6 +236,13 @@ class TestVerify:
         assert (code, doc["status"]) == (0, "pass")
         assert row["taus_checked"] == {"direct": n - 1, "blocks": blocks, "closed": n - 1}
         assert row["sampled"] is sampled
+
+    def test_counting_stops_after_m8(self, capsys):
+        code, out, _ = run(capsys, "verify", "--m-range", "8..9", "--json")
+        doc = json.loads(out)
+        assert (code, doc["status"]) == (0, "pass")
+        assert [r["m"] for r in doc["rows"] if r["check"] == "counting"] == [8]
+        assert sorted({r["m"] for r in doc["rows"]}) == [8, 9]
 
     def test_three_way_csv_unchanged(self, capsys):
         code, out, _ = run(capsys, "verify", "--m-range", "5..5")
@@ -439,6 +448,38 @@ def test_stdout_oserror_exits_2(capsys, monkeypatch, exc):
     monkeypatch.setattr(sys, "stdout", FailingStdout())
     assert main(["gen", "--m", "3"]) == 2
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "acorr", "dist", "verify"])
+def test_help_exits_0(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: arithcorr {command}")
+    if command == "verify":
+        # argparse wraps the help at the terminal's width
+        assert "above m = 18 the direct route at every tau dominates" in " ".join(out.split())
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def bug(ctx, tau):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(closedform, "predict_acorr", bug)
+    code, out, err = run(capsys, "verify", "--m-range", "3..3")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: a bug\n")
+
+
+def test_pure_python_decimal_exits_3():
+    # without the C _decimal module, _pydecimal raises ValueError on lemma 1's
+    # product from a period of 718: a fault of the interpreter, not a mismatch
+    code = "import sys; sys.modules['_decimal'] = None; from arithcorr.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(arith.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", "--m-range", "10..10"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "Traceback" in proc.stderr and "ValueError" in proc.stderr
 
 
 def test_module_entry_point():
