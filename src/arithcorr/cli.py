@@ -26,6 +26,8 @@ ALL_SHIFTS_COST = (
     "and checks lemma 1's classical autocorrelation from one decimal product: about 1.3 s at m = 16, 4 s at "
     "m = 17, 15 s at m = 18 and 55 s at m = 19; above m = 18 the direct route at every tau dominates its time."
 )
+# taus per slice of acorr rows built before writing
+_ROW_SLICE = 4096
 
 
 def _resolve_field(m: int, poly_text: str | None) -> GF2m:
@@ -62,31 +64,27 @@ def cmd_acorr(args) -> int:
     methods = ["direct", "blocks", "closed"] if args.method == "all" else [args.method]
     taus = range(1, ctx.n) if args.all else [args.tau]
     route = {
-        "direct": lambda tau: arith.arithmetic_autocorr(seq, tau),
-        "blocks": lambda tau: blocks.autocorr_via_blocks(seq, seq.shift(tau)),
-        "closed": lambda tau: closedform.predict_acorr(ctx, tau),
+        "direct": lambda: arith.arithmetic_autocorrs(seq, taus),
+        "blocks": lambda: blocks.autocorrs_via_blocks(seq, taus),
+        "closed": lambda: array("i", (closedform.predict_acorr(ctx, tau) for tau in taus)),
     }
-    routes = [route[k] for k in methods]
-    keys = ["tau"] + methods
-
-    # each row becomes text as soon as it is computed, so memory holds one
-    # short string per tau; the JSON text is what json.dumps of the whole
-    # document would give
-    lines = []
-    mismatch = False
-    for tau in taus:
-        values = [tau] + [f(tau) for f in routes]
-        mismatch = mismatch or len(set(values[1:])) > 1
-        if args.json:
-            lines.append("{" + ", ".join(f'"{k}": {v}' for k, v in zip(keys, values)) + "}")
-        else:
-            lines.append(",".join(map(str, values)))
+    # the routes come as one array('i') column each, 4 bytes per tau, and the
+    # rows become text one slice of taus at a time, so memory holds no Python
+    # object per tau; the JSON text is what json.dumps of the whole document
+    # would give
+    columns = [route[k]() for k in methods]
+    mismatch = any(column != columns[0] for column in columns[1:])
     if args.json:
         head = json.dumps({"command": "acorr", "m": ctx.m, "poly": format_poly(ctx.modulus), "methods": methods})
-        status = "fail" if mismatch else "pass"
-        print(f'{head[:-1]}, "rows": [{", ".join(lines)}], "status": "{status}"}}')
+        print(f'{head[:-1]}, "rows": [', end="")
+        sep, row = ", ", "{{" + ", ".join(f'"{k}": {{}}' for k in ["tau"] + methods) + "}}"
     else:
-        print("\n".join(lines))
+        sep, row = "\n", ",".join(["{}"] * (1 + len(methods)))
+    for lo in range(0, len(taus), _ROW_SLICE):
+        rows = map(row.format, taus[lo : lo + _ROW_SLICE], *(c[lo : lo + _ROW_SLICE] for c in columns))
+        print((sep if lo else "") + sep.join(rows), end="")
+    status = "fail" if mismatch else "pass"
+    print(f'], "status": "{status}"}}' if args.json else "")
     return 1 if mismatch else 0
 
 
@@ -114,18 +112,18 @@ def cmd_dist(args) -> int:
 
 
 def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
-    """Check one field in one pass over tau, then append each check's row and
-    mismatch records."""
+    """Check one field, walking its shifts once per route, then append each
+    check's row and mismatch records."""
     m, n = ctx.m, ctx.n
     poly = f"0x{ctx.modulus:x}"
     seq = m_sequence(ctx)
     # the taus each route checks, verify's coverage stated once: direct and closed at
     # every tau (the distribution reads every direct value), blocks at every tau up to
     # m = 14 (every tau would cost about 1.3 s at m = 15 and 4 s at m = 16), above it at
-    # 65 spread taus plus n - 1; counting, eqs. (4)-(5) and lemma 1's patterns, to m = 8
+    # 65 spread taus plus n - 1, in order; counting, eqs. (4)-(5) and lemma 1's patterns, to m = 8
     every = range(1, n)
     taus = {"direct": every, "closed": every, "counting": every if m <= 8 else ()}
-    taus["blocks"] = every if m <= 14 else {*range(1, n, (n - 1) // 64), n - 1}
+    taus["blocks"] = every if m <= 14 else sorted({*range(1, n, (n - 1) // 64), n - 1})
     checks = ["three_way", "lemma1"] + (["counting"] if taus["counting"] else []) + ["distribution"]
     bad = {check: [] for check in checks}
 
@@ -133,33 +131,36 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
         bad[check].append({"check": kind, "m": m, "poly": poly, **detail})
 
     # lemma 1: two-level classical autocorrelation, every tau from one decimal product;
-    # the array is dropped before the per-tau pass allocates its own
+    # the array is dropped before the route columns are allocated
     for tau, classical in enumerate(seq.classical_autocorrs()):
         if tau and classical != -1:
             miss("lemma1", "classical", tau=tau)
 
-    quarter = 1 << (m - 2)
-    directs = array("i", [0]) * n
-    for tau in taus["direct"]:
-        directs[tau] = direct = arith.arithmetic_autocorr(seq, tau)
+    # the direct and blocks routes come as columns, one value per tau of their table
+    # entry, so directs[tau - 1] is A(tau); odd keeps the blocks values that differ
+    directs = arith.arithmetic_autocorrs(seq, taus["direct"])
+    block_values = zip(taus["blocks"], blocks.autocorrs_via_blocks(seq, taus["blocks"]))
+    odd = {tau: value for tau, value in block_values if value != directs[tau - 1]}
+    for tau, direct in zip(taus["direct"], directs):
         closed = closedform.predict_acorr(ctx, tau)
-        via_blocks = blocks.autocorr_via_blocks(seq, seq.shift(tau)) if tau in taus["blocks"] else None
-        if direct != closed or via_blocks not in (None, direct):
+        if direct != closed or tau in odd:
+            via_blocks = odd.get(tau, direct) if tau in taus["blocks"] else None
             miss("three_way", "three_way", tau=tau, direct=direct, blocks=via_blocks, closed=closed)
-        if tau in taus["counting"]:
-            # walked in pi-power order, the trace conditions of eqs. (4)-(5)
-            # select exactly these windows: eq4[l] = N(0,0;l)+N(0,1;l),
-            # eq5[l] = N(1,0;l)+N(1,1;l)
-            eq4, eq5 = [0] * m, [0] * m
-            for (alpha, _beta, l), c in blocks.block_type_counts(seq, seq.shift(tau)).items():
-                (eq5 if alpha else eq4)[l] += c
-            if sum(eq4) != quarter or sum(eq5) != quarter:
-                miss("counting", "count_sums", tau=tau)
-            for l in range(1, m):
-                if closedform.lemma4_count(ctx, tau, l) != eq4[l]:
-                    miss("counting", "closed_count", tau=tau, l=l)
-            if sum(l * c for l, c in enumerate(eq4)) != closedform.weighted_sum(ctx, tau):
-                miss("counting", "weighted_sum", tau=tau)
+    quarter = 1 << (m - 2)
+    for tau in taus["counting"]:
+        # walked in pi-power order, the trace conditions of eqs. (4)-(5)
+        # select exactly these windows: eq4[l] = N(0,0;l)+N(0,1;l),
+        # eq5[l] = N(1,0;l)+N(1,1;l)
+        eq4, eq5 = [0] * m, [0] * m
+        for (alpha, _beta, l), c in blocks.block_type_counts(seq, seq.shift(tau)).items():
+            (eq5 if alpha else eq4)[l] += c
+        if sum(eq4) != quarter or sum(eq5) != quarter:
+            miss("counting", "count_sums", tau=tau)
+        for l in range(1, m):
+            if closedform.lemma4_count(ctx, tau, l) != eq4[l]:
+                miss("counting", "closed_count", tau=tau, l=l)
+        if sum(l * c for l, c in enumerate(eq4)) != closedform.weighted_sum(ctx, tau):
+            miss("counting", "weighted_sum", tau=tau)
 
     # lemma 1's pattern counts, and the full distribution against the closed form
     if taus["counting"]:
@@ -169,19 +170,21 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
                 got = seq.pattern_count(pattern)
                 if got != expected:
                     miss("lemma1", "pattern", pattern="".join(map(str, pattern)), expected=expected, got=got)
-    if Counter(directs[1:]) != closedform.predict_distribution(m):
+    if Counter(directs) != closedform.predict_distribution(m):
         miss("distribution", "distribution")
     # modulo 2^n - 1, d(n - tau) = -2^tau * d(tau): the power of 2 rotates the
     # bits and the negation complements them, so A(n - tau) = -A(tau)
-    for tau in range(1, n // 2 + 1):
-        if directs[n - tau] != -directs[tau]:
-            miss("distribution", "antisymmetry", tau=tau, direct=directs[tau], mirror=directs[n - tau])
+    for tau, direct, mirror in zip(range(1, n // 2 + 1), directs, reversed(directs)):
+        if mirror != -direct:
+            miss("distribution", "antisymmetry", tau=tau, direct=direct, mirror=mirror)
 
     for check, records in bad.items():
         row = {"check": check, "m": m, "poly": poly, "status": "fail" if records else "pass"}
         if check == "three_way":
             row["taus_checked"] = {route: len(taus[route]) for route in ("direct", "blocks", "closed")}
             row["sampled"] = len(taus["blocks"]) < n - 1
+        elif check == "lemma1":
+            row["patterns_checked"] = bool(taus["counting"])
         rows.append(row)
         mismatches.extend(records)
 

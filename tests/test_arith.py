@@ -3,13 +3,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithcorr import errors
-from arithcorr.arith import arithmetic_autocorr, distribution
-from arithcorr.gf2m import make_field
+from arithcorr.arith import arithmetic_autocorr, arithmetic_autocorrs, distribution
+from arithcorr.gf2m import find_primitive_polynomials, make_field
 from arithcorr.sequences import BinarySequence, m_sequence
 from conftest import eq1_direct
 
 bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
 bits_and_tau = bit_lists.flatmap(lambda bits: st.tuples(st.just(bits), st.integers(1, len(bits) - 1)))
+# every modulus up to m = 6, the default one up to m = 12
+ALL_SHIFT_FIELDS = [(m, p) for m in range(2, 7) for p in find_primitive_polynomials(m, 1 << m)]
+ALL_SHIFT_FIELDS += [(m, None) for m in range(7, 13)]
 
 
 class TestSigmaWeight:
@@ -98,3 +101,38 @@ class TestDistribution:
     def test_propagates_shift_equals_sequence(self):
         with pytest.raises(errors.ShiftEqualsSequence):
             distribution(BinarySequence("0101"))
+
+
+class TestArithmeticAutocorrs:
+    """The all-shifts loop against the per-tau call as its oracle."""
+
+    @pytest.mark.parametrize("m, poly", ALL_SHIFT_FIELDS)
+    def test_matches_per_tau(self, m, poly):
+        seq = m_sequence(make_field(m, poly))
+        taus = range(1, seq.period)
+        assert list(arithmetic_autocorrs(seq, taus)) == [arithmetic_autocorr(seq, tau) for tau in taus]
+
+    def test_spread_taus_m15(self):
+        seq = m_sequence(make_field(15))
+        n = seq.period
+        taus = sorted({*range(1, n, (n - 1) // 64), n - 1})
+        assert len(taus) == 66
+        assert list(arithmetic_autocorrs(seq, taus)) == [arithmetic_autocorr(seq, tau) for tau in taus]
+
+    def test_empty_taus(self):
+        assert list(arithmetic_autocorrs(BinarySequence("1001011"), [])) == []
+
+    # period 4 from the block 01, period 6 from the block 110: a shift by the
+    # block length equals the sequence
+    @pytest.mark.parametrize("bits", ["0101", "110110"])
+    def test_raises_like_per_tau(self, bits):
+        seq = BinarySequence(bits)
+        taus = range(1, seq.period)
+        with pytest.raises(errors.ArithCorrError) as one:
+            for tau in taus:
+                arithmetic_autocorr(seq, tau)
+        with pytest.raises(errors.ArithCorrError) as every:
+            arithmetic_autocorrs(seq, taus)
+        assert type(every.value) is type(one.value) is errors.ShiftEqualsSequence
+        # both name the first such tau
+        assert str(every.value) == str(one.value)

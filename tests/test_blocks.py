@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithcorr import errors
-from arithcorr.blocks import autocorr_via_blocks, block_type_counts
+from arithcorr.blocks import autocorr_via_blocks, autocorrs_via_blocks, block_type_counts
 from arithcorr.gf2m import find_primitive_polynomials, make_field
 from arithcorr.sequences import BinarySequence, m_sequence
 from conftest import (
@@ -16,6 +16,9 @@ from conftest import (
 )
 
 bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
+# every modulus up to m = 6, the default one up to m = 12
+ALL_SHIFT_FIELDS = [(m, p) for m in range(2, 7) for p in find_primitive_polynomials(m, 1 << m)]
+ALL_SHIFT_FIELDS += [(m, None) for m in range(7, 13)]
 
 
 def distinct_pair(bits_a, bits_b):
@@ -207,6 +210,39 @@ class TestAutocorrViaBlocks:
         base = autocorr_via_blocks(a, b)
         t = data.draw(st.integers(0, a.period - 1))
         assert autocorr_via_blocks(a.shift(t), b.shift(t)) == base
+
+
+class TestAutocorrsViaBlocks:
+    """The all-shifts loop against the per-pair call as its oracle."""
+
+    @pytest.mark.parametrize("m, poly", ALL_SHIFT_FIELDS)
+    def test_matches_per_pair(self, m, poly):
+        seq = m_sequence(make_field(m, poly))
+        taus = range(1, seq.period)
+        assert list(autocorrs_via_blocks(seq, taus)) == [autocorr_via_blocks(seq, seq.shift(tau)) for tau in taus]
+
+    def test_spread_taus_m15(self):
+        seq = m_sequence(make_field(15))
+        n = seq.period
+        taus = sorted({*range(1, n, (n - 1) // 64), n - 1})
+        assert len(taus) == 66
+        assert list(autocorrs_via_blocks(seq, taus)) == [autocorr_via_blocks(seq, seq.shift(tau)) for tau in taus]
+
+    def test_empty_taus(self):
+        assert list(autocorrs_via_blocks(BinarySequence("1001011"), [])) == []
+
+    # period 4 from the block 01, period 6 from the block 110: a shift by the
+    # block length equals the sequence
+    @pytest.mark.parametrize("bits", ["0101", "110110"])
+    def test_raises_like_per_pair(self, bits):
+        seq = BinarySequence(bits)
+        taus = range(1, seq.period)
+        with pytest.raises(errors.ArithCorrError) as one:
+            for tau in taus:
+                autocorr_via_blocks(seq, seq.shift(tau))
+        with pytest.raises(errors.ArithCorrError) as every:
+            autocorrs_via_blocks(seq, taus)
+        assert type(every.value) is type(one.value) is errors.EqualSequences
 
 
 @pytest.mark.parametrize("m", range(2, 13))

@@ -124,6 +124,27 @@ class TestAcorr:
         assert doc["status"] == "pass"
         assert doc["rows"] == [{"tau": 1, "direct": -1, "blocks": -1, "closed": -1}]
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_rows_written_in_slices(self, capsys, monkeypatch, as_json):
+        # m = 4 has 14 taus: slices of 4, 4, 4 and 2 rows give the text of one slice
+        argv = ["acorr", "--m", "4", "--all", "--method", "all"] + (["--json"] if as_json else [])
+        _, whole, _ = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_ROW_SLICE", 4)
+        code, sliced, _ = run(capsys, *argv)
+        assert (code, sliced) == (0, whole)
+        if as_json:
+            assert whole == json.dumps(json.loads(whole)) + "\n"
+        else:
+            assert whole.splitlines()[::13] == ["1,-1,-1,-1", "14,1,1,1"]
+
+    def test_mismatch_exits_1(self, capsys, monkeypatch):
+        predict = closedform.predict_acorr
+        monkeypatch.setattr(closedform, "predict_acorr", lambda ctx, tau: predict(ctx, tau) + (tau == 2))
+        code, out, _ = run(capsys, "acorr", "--m", "3", "--all", "--method", "all", "--json")
+        doc = json.loads(out)
+        assert (code, doc["status"]) == (1, "fail")
+        assert doc["rows"][1] == {"tau": 2, "direct": -3, "blocks": -3, "closed": -2}
+
 
 class TestDist:
     def test_m3_check(self, capsys):
@@ -243,6 +264,11 @@ class TestVerify:
         assert (code, doc["status"]) == (0, "pass")
         assert [r["m"] for r in doc["rows"] if r["check"] == "counting"] == [8]
         assert sorted({r["m"] for r in doc["rows"]}) == [8, 9]
+        # lemma 1's pattern counts run with the counting check
+        assert [(r["m"], r["patterns_checked"]) for r in doc["rows"] if r["check"] == "lemma1"] == [
+            (8, True),
+            (9, False),
+        ]
 
     def test_three_way_csv_unchanged(self, capsys):
         code, out, _ = run(capsys, "verify", "--m-range", "5..5")
@@ -250,24 +276,25 @@ class TestVerify:
         assert out.splitlines()[:2] == ["check,m,poly,status", "three_way,5,0x25,pass"]
 
     def test_direct_route_once_per_tau(self, capsys, monkeypatch):
-        # only the counting check reads block counts, once per tau; the
-        # blocks route computes g without them
+        # the direct route runs once per field, over every tau; only the
+        # counting check reads block counts, once per tau; the blocks route
+        # computes g without them
         calls = {"direct": [], "blocks": 0}
-        direct, counts = arith.arithmetic_autocorr, blocks.block_type_counts
+        direct, counts = arith.arithmetic_autocorrs, blocks.block_type_counts
 
-        def counted_direct(seq, tau):
-            calls["direct"].append(tau)
-            return direct(seq, tau)
+        def counted_direct(seq, taus):
+            calls["direct"].append(list(taus))
+            return direct(seq, taus)
 
         def counted_blocks(a, b):
             calls["blocks"] += 1
             return counts(a, b)
 
-        monkeypatch.setattr(arith, "arithmetic_autocorr", counted_direct)
+        monkeypatch.setattr(arith, "arithmetic_autocorrs", counted_direct)
         monkeypatch.setattr(blocks, "block_type_counts", counted_blocks)
         code, _, _ = run(capsys, "verify", "--m-range", "5..5")
         assert code == 0
-        assert sorted(calls["direct"]) == list(range(1, 31))
+        assert calls["direct"] == [list(range(1, 31))]
         assert calls["blocks"] == 30
 
     @pytest.fixture
@@ -323,9 +350,16 @@ class TestVerify:
         # with the sign of A(12) flipped at m = 4 (n = 15), A(15 - 3) = -A(3)
         # fails once, reported at the smaller tau
         direct = arith.arithmetic_autocorr
-        monkeypatch.setattr(
-            arith, "arithmetic_autocorr", lambda seq, tau: -direct(seq, tau) if tau == 12 else direct(seq, tau)
-        )
+        directs = arith.arithmetic_autocorrs
+
+        def flipped_at_12(seq, taus):
+            values = directs(seq, taus)
+            for i, tau in enumerate(taus):
+                if tau == 12:
+                    values[i] = -values[i]
+            return values
+
+        monkeypatch.setattr(arith, "arithmetic_autocorrs", flipped_at_12)
         code, out, err = run(capsys, "verify", "--m-range", "4..4", "--json")
         doc = json.loads(out)
         assert (code, err) == (1, "")
@@ -334,6 +368,35 @@ class TestVerify:
         a3 = direct(m_sequence(make_field(4)), 3)
         assert [r for r in doc["mismatches"] if r["check"] == "antisymmetry"] == [
             {"check": "antisymmetry", "m": 4, "poly": "0x13", "tau": 3, "direct": a3, "mirror": a3}
+        ]
+
+    def test_blocks_failure_recorded(self, capsys, monkeypatch):
+        via_blocks = blocks.autocorrs_via_blocks
+
+        def off_at_3(seq, taus):
+            values = via_blocks(seq, taus)
+            for i, tau in enumerate(taus):
+                values[i] += tau == 3
+            return values
+
+        monkeypatch.setattr(blocks, "autocorrs_via_blocks", off_at_3)
+        code, out, err = run(capsys, "verify", "--m-range", "4..4", "--json")
+        a3 = arith.arithmetic_autocorr(m_sequence(make_field(4)), 3)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["mismatches"] == [
+            {"check": "three_way", "m": 4, "poly": "0x13", "tau": 3, "direct": a3, "blocks": a3 + 1, "closed": a3}
+        ]
+
+    def test_blocks_null_where_not_run(self, capsys, monkeypatch):
+        # m = 15 samples the blocks route at 1, 512, 1023, ...: tau = 2 is not among them
+        predict = closedform.predict_acorr
+        monkeypatch.setattr(closedform, "predict_acorr", lambda ctx, tau: predict(ctx, tau) + (tau in (2, 512)))
+        code, out, _ = run(capsys, "verify", "--m-range", "15..15", "--json")
+        records = json.loads(out)["mismatches"]
+        assert code == 1
+        assert [(r["tau"], r["blocks"] == r["direct"], r["blocks"] is None) for r in records] == [
+            (2, False, True),
+            (512, True, False),
         ]
 
 
@@ -392,17 +455,17 @@ FAILING_VERIFY_DOC = {
     "rows": [
         {"check": "three_way", "m": 3, "poly": "0xb", "status": "fail",
          "taus_checked": {"direct": 6, "blocks": 6, "closed": 6}, "sampled": False},
-        {"check": "lemma1", "m": 3, "poly": "0xb", "status": "fail"},
+        {"check": "lemma1", "m": 3, "poly": "0xb", "status": "fail", "patterns_checked": True},
         {"check": "counting", "m": 3, "poly": "0xb", "status": "fail"},
         {"check": "distribution", "m": 3, "poly": "0xb", "status": "pass"},
         {"check": "three_way", "m": 4, "poly": "0x13", "status": "fail",
          "taus_checked": {"direct": 14, "blocks": 14, "closed": 14}, "sampled": False},
-        {"check": "lemma1", "m": 4, "poly": "0x13", "status": "fail"},
+        {"check": "lemma1", "m": 4, "poly": "0x13", "status": "fail", "patterns_checked": True},
         {"check": "counting", "m": 4, "poly": "0x13", "status": "fail"},
         {"check": "distribution", "m": 4, "poly": "0x13", "status": "pass"},
         {"check": "three_way", "m": 5, "poly": "0x25", "status": "fail",
          "taus_checked": {"direct": 30, "blocks": 30, "closed": 30}, "sampled": False},
-        {"check": "lemma1", "m": 5, "poly": "0x25", "status": "fail"},
+        {"check": "lemma1", "m": 5, "poly": "0x25", "status": "fail", "patterns_checked": True},
         {"check": "counting", "m": 5, "poly": "0x25", "status": "fail"},
         {"check": "distribution", "m": 5, "poly": "0x25", "status": "pass"},
     ],
