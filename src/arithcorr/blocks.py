@@ -10,12 +10,17 @@ equal column lies inside the window of the nearest unequal column cyclically
 before it.  So g counts each window with alpha = 1 once, and each equal
 column once if its window has alpha = 0: g = popcount(x ^ p), where p holds
 the alpha = 0 starts and the equal columns of their windows.  The kernel
-spreads p from those starts over the equal columns q in doubling rounds,
-p |= rot(p, s) & q and q &= rot(q, s) for s = 1, 2, 4, ..., and stops when
-no run of s equal columns is left in q: after ceil(log2(G+1)) rounds, G the
-longest run of equal columns (below m for an m-sequence and its shift, n-1
-for a pair differing in one column).  `autocorrs_via_blocks` runs it on a
-sequence and each of its shifts without building the shifted sequence.
+reads n + w linear columns (column j is cyclic column j mod n) and spreads p
+from those starts over the equal columns q in doubling rounds,
+p |= (p << s) & q and q &= q << s for s = 1, 2, 4, ..., until no run of s
+equal columns is left in q: ceil(log2(G+1)) rounds, G the longest run of
+equal columns.  When one of the first w columns is unequal, each later
+column's window starts inside the n + w, so g is the popcount of x ^ p over
+columns w..n+w-1.  `autocorrs_via_blocks` takes w = n.bit_length() and cuts
+each shift from the period repeated over 2n + w columns; for an m-sequence
+x is itself a shift of it (shift-and-add), with no run of m zeros.  A tau
+whose first w columns are all equal is widened to w = n, which
+`autocorr_via_blocks` takes for every pair.
 
 `block_type_counts` keeps the per-type counts, which only the counting
 identities of eqs. (4)-(5) read.  Going up in l, the windows with l interior
@@ -31,8 +36,8 @@ from __future__ import annotations
 
 from array import array
 
-from .errors import EqualSequences, PeriodMismatch
-from .sequences import BinarySequence, rotate_value
+from .errors import EqualSequences, PeriodMismatch, check_taus
+from .sequences import BinarySequence
 
 
 def _unequal_columns(a: BinarySequence, b: BinarySequence) -> int:
@@ -76,28 +81,42 @@ def block_type_counts(a: BinarySequence, b: BinarySequence) -> dict[tuple[int, i
     return counts
 
 
-def _acorr(x: int, top: int, n: int) -> int:
-    """n - 2*g for the n columns with unequal columns x and top row top."""
-    if not x:
-        raise EqualSequences("rows are identical")
-    full = (1 << n) - 1
-    p, q = x ^ (x & top), full ^ x  # the alpha = 0 starts; the equal columns
+def _acorr(x: int, ntop: int, n: int, w: int, full: int) -> int:
+    """n - 2*g from a pair's first n + w columns (ones: full), unequal columns x and top-row zeros ntop."""
+    low = (1 << w) - 1
+    if not x & low:
+        # no window starts among the first w columns: widen to w = n, whose
+        # first n columns hold every unequal column
+        if w == n:
+            raise EqualSequences("rows are identical")
+        mask = (1 << n) - 1
+        x, top, full = x & mask, ~ntop & mask, mask | mask << n
+        return _acorr(x | x << n, full ^ (top | top << n), n, n, full)
+    p, q = x & ntop, full ^ x  # the alpha = 0 starts; the equal columns
     s = 1
     while q:
-        # q: the columns j with j-s+1..j all equal; bit j of a rotation left
-        # by s is bit j-s, cyclically
-        p |= (p << s | p >> (n - s)) & q
-        q &= q << s | q >> (n - s)
+        # q: the columns j with j-s+1..j all equal, j-s+1 >= 0
+        p |= (p << s) & q
+        q &= q << s
         s <<= 1
-    return n - 2 * (x ^ p).bit_count()
+    y = x ^ p  # g is its popcount over columns w..n+w-1
+    return n - 2 * (y.bit_count() - (y & low).bit_count())
 
 
 def autocorr_via_blocks(a: BinarySequence, b: BinarySequence) -> int:
     """A(M) = n - 2*g(M) for the matrix with rows a, b."""
-    return _acorr(_unequal_columns(a, b), a.value, a.period)
+    x, n = _unequal_columns(a, b), a.period
+    full = (1 << 2 * n) - 1
+    return _acorr(x | x << n, full ^ (a.value | a.value << n), n, n, full)
 
 
 def autocorrs_via_blocks(seq: BinarySequence, taus) -> array:
     """autocorr_via_blocks(seq, seq.shift(tau)) for each tau of taus, in order; each tau in 1..n-1."""
     v, n = seq.value, seq.period
-    return array("i", (_acorr(v ^ rotate_value(v, tau, n), v, n) for tau in taus))
+    w = n.bit_length()
+    full = (1 << (n + w)) - 1
+    # 2n + w columns of the period repeated: (v3 >> tau) & full is the tau-shift's first n + w
+    v3 = (v | v << n | v << 2 * n) & ((1 << (2 * n + w)) - 1)
+    top = v3 & full
+    ntop = full ^ top
+    return array("i", (_acorr(top ^ ((v3 >> tau) & full), ntop, n, w, full) for tau in check_taus(taus, n)))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from array import array
 from collections import Counter
 from itertools import product
 
@@ -66,7 +65,7 @@ def cmd_acorr(args) -> int:
     route = {
         "direct": lambda: arith.arithmetic_autocorrs(seq, taus),
         "blocks": lambda: blocks.autocorrs_via_blocks(seq, taus),
-        "closed": lambda: array("i", (closedform.predict_acorr(ctx, tau) for tau in taus)),
+        "closed": lambda: closedform.predict_acorrs(ctx, taus),
     }
     # the routes come as one array('i') column each, 4 bytes per tau, and the
     # rows become text one slice of taus at a time, so memory holds no Python
@@ -136,13 +135,13 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
         if tau and classical != -1:
             miss("lemma1", "classical", tau=tau)
 
-    # the direct and blocks routes come as columns, one value per tau of their table
-    # entry, so directs[tau - 1] is A(tau); odd keeps the blocks values that differ
+    # the routes come as columns, one value per tau of their table entry, so
+    # directs[tau - 1] is A(tau); odd keeps the blocks values that differ
     directs = arith.arithmetic_autocorrs(seq, taus["direct"])
     block_values = zip(taus["blocks"], blocks.autocorrs_via_blocks(seq, taus["blocks"]))
     odd = {tau: value for tau, value in block_values if value != directs[tau - 1]}
-    for tau, direct in zip(taus["direct"], directs):
-        closed = closedform.predict_acorr(ctx, tau)
+    closeds = closedform.predict_acorrs(ctx, taus["closed"])
+    for tau, direct, closed in zip(taus["direct"], directs, closeds):
         if direct != closed or tau in odd:
             via_blocks = odd.get(tau, direct) if tau in taus["blocks"] else None
             miss("three_way", "three_way", tau=tau, direct=direct, blocks=via_blocks, closed=closed)

@@ -11,7 +11,9 @@ its tau-shift, which is what the counting check compares them with.
 
 from __future__ import annotations
 
-from .errors import LOutOfRange, NonIntegerCount, excerpt_repr
+from array import array
+
+from .errors import LOutOfRange, NonIntegerCount, check_taus, excerpt_repr
 from .gf2m import GF2m, _check_degree
 
 
@@ -26,6 +28,18 @@ def predict_acorr(ctx: GF2m, tau: int) -> int:
     e, b0 = _expansion(ctx, tau)
     magnitude = (1 << (ctx.m - e)) - 1
     return magnitude if b0 else -magnitude
+
+
+def predict_acorrs(ctx: GF2m, taus) -> array:
+    """predict_acorr(ctx, tau) for each tau of taus, in order; each tau in 1..n-1."""
+    log, antilog = ctx._zech_tables()
+    n, m = ctx.n, ctx.m
+    out = array("i")
+    for tau in check_taus(taus, n):
+        el = antilog[n - log[antilog[tau] ^ 1]]  # as in ctx.expand_inverse_one_plus_pi_tau
+        magnitude = (1 << (m + 1 - el.bit_length())) - 1
+        out.append(magnitude if el & 1 else -magnitude)
+    return out
 
 
 def predict_distribution(m: int) -> dict[int, int]:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from array import array
+
 # Longest piece of user input an error message quotes
 EXCERPT_CHARS = 40
 
@@ -58,6 +60,19 @@ def check_tau(tau: int, lo: int, n: int) -> None:
     """Raise TauOutOfRange unless tau is an int in lo..n-1."""
     if not isinstance(tau, int) or not lo <= tau <= n - 1:
         raise TauOutOfRange(f"tau={excerpt_repr(tau)} outside {lo}..{n - 1}")
+
+
+def check_taus(taus, n: int):
+    """taus checked like check_tau(tau, 1, n), once: a range by its ends, else as one array('q')."""
+    if not isinstance(taus, range):
+        try:
+            taus = array("q", taus)
+        except (TypeError, OverflowError):  # not an int, or past 64 bits
+            raise TauOutOfRange(f"taus must be ints in 1..{n - 1}") from None
+    if taus:
+        for tau in (taus[0], taus[-1]) if isinstance(taus, range) else (min(taus), max(taus)):
+            check_tau(tau, 1, n)
+    return taus
 
 
 class InvalidSequence(ArithCorrError, ValueError):

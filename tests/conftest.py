@@ -6,8 +6,20 @@ import random
 import pytest
 
 from arithcorr.blocks import block_type_counts
-from arithcorr.gf2m import GF2m
+from arithcorr.gf2m import GF2m, find_primitive_polynomials
 from arithcorr.sequences import BinarySequence
+
+# the fields whose all-shift loops are checked at every tau: every modulus up
+# to m = 6, the default one up to m = 12
+ALL_SHIFT_FIELDS = [(m, p) for m in range(2, 7) for p in find_primitive_polynomials(m, 1 << m)]
+ALL_SHIFT_FIELDS += [(m, None) for m in range(7, 13)]
+# taus the all-shift loops must reject at n = 7: the two edges, n + 1 and 2n - 1
+# (which a shift of a doubled or tripled period would read as a rotation), a
+# negative one (which an array index would wrap), a float and an int past 64 bits
+BAD_TAUS_N7 = [0, 7, 8, 13, -1, 2.0, 10**30]
+# each alone, after a good tau, and ranges that run past either edge
+BAD_TAU_LISTS_N7 = [[tau] for tau in BAD_TAUS_N7] + [[1, tau] for tau in BAD_TAUS_N7]
+BAD_TAU_LISTS_N7 += [range(0, 3), range(1, 8), range(6, -1, -1), range(13, 5, -1)]
 
 
 def field_mul(ctx: GF2m, a: int, b: int) -> int:

@@ -4,15 +4,12 @@ from hypothesis import strategies as st
 
 from arithcorr import errors
 from arithcorr.arith import arithmetic_autocorr, arithmetic_autocorrs, distribution
-from arithcorr.gf2m import find_primitive_polynomials, make_field
+from arithcorr.gf2m import make_field
 from arithcorr.sequences import BinarySequence, m_sequence
-from conftest import eq1_direct
+from conftest import ALL_SHIFT_FIELDS, BAD_TAU_LISTS_N7, eq1_direct
 
 bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
 bits_and_tau = bit_lists.flatmap(lambda bits: st.tuples(st.just(bits), st.integers(1, len(bits) - 1)))
-# every modulus up to m = 6, the default one up to m = 12
-ALL_SHIFT_FIELDS = [(m, p) for m in range(2, 7) for p in find_primitive_polynomials(m, 1 << m)]
-ALL_SHIFT_FIELDS += [(m, None) for m in range(7, 13)]
 
 
 class TestSigmaWeight:
@@ -136,3 +133,8 @@ class TestArithmeticAutocorrs:
         assert type(every.value) is type(one.value) is errors.ShiftEqualsSequence
         # both name the first such tau
         assert str(every.value) == str(one.value)
+
+    @pytest.mark.parametrize("taus", BAD_TAU_LISTS_N7)
+    def test_bad_tau_rejected(self, taus):
+        with pytest.raises(errors.TauOutOfRange):
+            arithmetic_autocorrs(m_sequence(make_field(3)), taus)

@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arithcorr import errors
+from arithcorr import blocks, errors
 from arithcorr.blocks import autocorr_via_blocks, autocorrs_via_blocks, block_type_counts
 from arithcorr.gf2m import find_primitive_polynomials, make_field
 from arithcorr.sequences import BinarySequence, m_sequence
 from conftest import (
+    ALL_SHIFT_FIELDS,
+    BAD_TAU_LISTS_N7,
     blocks_from_counts,
     eq1_direct,
     g_of,
@@ -16,9 +18,6 @@ from conftest import (
 )
 
 bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
-# every modulus up to m = 6, the default one up to m = 12
-ALL_SHIFT_FIELDS = [(m, p) for m in range(2, 7) for p in find_primitive_polynomials(m, 1 << m)]
-ALL_SHIFT_FIELDS += [(m, None) for m in range(7, 13)]
 
 
 def distinct_pair(bits_a, bits_b):
@@ -243,6 +242,62 @@ class TestAutocorrsViaBlocks:
         with pytest.raises(errors.ArithCorrError) as every:
             autocorrs_via_blocks(seq, taus)
         assert type(every.value) is type(one.value) is errors.EqualSequences
+
+    @pytest.mark.parametrize("taus", BAD_TAU_LISTS_N7)
+    def test_bad_tau_rejected(self, taus):
+        with pytest.raises(errors.TauOutOfRange):
+            autocorrs_via_blocks(m_sequence(make_field(3)), taus)
+
+    @settings(max_examples=300)
+    @given(st.integers(2, 70), st.sampled_from(["random", "sparse", "dense"]), st.data())
+    def test_every_tau_of_any_sequence(self, n, kind, data):
+        # sparse and dense periods leave long runs of equal columns, so that
+        # many taus have no unequal column among their first w
+        if kind == "random":
+            bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        else:
+            few = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+            bits = [(i in few) ^ (kind == "dense") for i in range(n)]
+        seq = BinarySequence(bits)
+        taus = range(1, n)
+        shifts = [seq.shift(tau) for tau in taus]
+        if seq in shifts:
+            with pytest.raises(errors.EqualSequences):
+                autocorrs_via_blocks(seq, taus)
+            return
+        per_pair = [autocorr_via_blocks(seq, b) for b in shifts]
+        assert list(autocorrs_via_blocks(seq, taus)) == per_pair == [eq1_direct(seq, b) for b in shifts]
+
+    @staticmethod
+    def widths(monkeypatch):
+        """The window width w of each kernel call, in call order."""
+        kernel, seen = blocks._acorr, []
+
+        def spy(x, ntop, n, w, full):
+            seen.append(w)
+            return kernel(x, ntop, n, w, full)
+
+        monkeypatch.setattr(blocks, "_acorr", spy)
+        return seen
+
+    def test_widens_taus_without_an_early_unequal_column(self, monkeypatch):
+        # n = 16, w = 5: x has ones at columns 15 and 15 - tau, so taus 1..10
+        # have none among the first 5 and take 2n columns
+        seq = BinarySequence("0" * 15 + "1")
+        taus = range(1, 16)
+        expected = [eq1_direct(seq, seq.shift(tau)) for tau in taus]
+        seen = self.widths(monkeypatch)
+        assert list(autocorrs_via_blocks(seq, taus)) == expected
+        assert seen == [5, 16] * 10 + [5] * 5
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_m_sequences_never_widen(self, m, monkeypatch):
+        # s ^ rot(s, tau) is a shift of the m-sequence, which has no run of m
+        # zeros, so the first w = m columns always hold an unequal column
+        seq = m_sequence(make_field(m))
+        seen = self.widths(monkeypatch)
+        autocorrs_via_blocks(seq, range(1, seq.period))
+        assert seen == [m] * (seq.period - 1)
 
 
 @pytest.mark.parametrize("m", range(2, 13))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def closed_off_at(monkeypatch, *bad_taus):
+    """Make the closed route's all-shift loop, which acorr and verify call, read one
+    more than the closed form at each of bad_taus."""
+    predict = closedform.predict_acorrs
+
+    def off(ctx, taus):
+        return array("i", (value + (tau in bad_taus) for tau, value in zip(taus, predict(ctx, taus))))
+
+    monkeypatch.setattr(closedform, "predict_acorrs", off)
 
 
 class TestGen:
@@ -138,8 +150,7 @@ class TestAcorr:
             assert whole.splitlines()[::13] == ["1,-1,-1,-1", "14,1,1,1"]
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
-        predict = closedform.predict_acorr
-        monkeypatch.setattr(closedform, "predict_acorr", lambda ctx, tau: predict(ctx, tau) + (tau == 2))
+        closed_off_at(monkeypatch, 2)
         code, out, _ = run(capsys, "acorr", "--m", "3", "--all", "--method", "all", "--json")
         doc = json.loads(out)
         assert (code, doc["status"]) == (1, "fail")
@@ -301,18 +312,14 @@ class TestVerify:
     def broken_routes(self, monkeypatch):
         """Closed form off at tau = 2, classical autocorrelation at tau = 3,
         and the eq. (4) count at tau = 4, l = 2, in every field."""
-        predict, classical, lemma4 = (
-            closedform.predict_acorr,
-            BinarySequence.classical_autocorrs,
-            closedform.lemma4_count,
-        )
+        classical, lemma4 = BinarySequence.classical_autocorrs, closedform.lemma4_count
 
         def broken_classical(self):
             corrs = classical(self)
             corrs[3] += 1
             return corrs
 
-        monkeypatch.setattr(closedform, "predict_acorr", lambda ctx, tau: predict(ctx, tau) + (tau == 2))
+        closed_off_at(monkeypatch, 2)
         monkeypatch.setattr(BinarySequence, "classical_autocorrs", broken_classical)
         monkeypatch.setattr(
             closedform, "lemma4_count", lambda ctx, tau, l: lemma4(ctx, tau, l) + ((tau, l) == (4, 2))
@@ -389,8 +396,7 @@ class TestVerify:
 
     def test_blocks_null_where_not_run(self, capsys, monkeypatch):
         # m = 15 samples the blocks route at 1, 512, 1023, ...: tau = 2 is not among them
-        predict = closedform.predict_acorr
-        monkeypatch.setattr(closedform, "predict_acorr", lambda ctx, tau: predict(ctx, tau) + (tau in (2, 512)))
+        closed_off_at(monkeypatch, 2, 512)
         code, out, _ = run(capsys, "verify", "--m-range", "15..15", "--json")
         records = json.loads(out)["mismatches"]
         assert code == 1
@@ -524,10 +530,10 @@ def test_help_exits_0(capsys, command):
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
-    def bug(ctx, tau):
+    def bug(ctx, taus):
         raise RuntimeError("a bug")
 
-    monkeypatch.setattr(closedform, "predict_acorr", bug)
+    monkeypatch.setattr(closedform, "predict_acorrs", bug)
     code, out, err = run(capsys, "verify", "--m-range", "3..3")
     assert (code, out) == (3, "")
     assert err.startswith("Traceback") and err.endswith("RuntimeError: a bug\n")

@@ -9,12 +9,13 @@ from arithcorr.blocks import autocorr_via_blocks, block_type_counts
 from arithcorr.closedform import (
     lemma4_count,
     predict_acorr,
+    predict_acorrs,
     predict_distribution,
     weighted_sum,
 )
 from arithcorr.gf2m import GF2m, find_primitive_polynomials, make_field
 from arithcorr.sequences import m_sequence
-from conftest import gap_scan_block_counts
+from conftest import ALL_SHIFT_FIELDS, BAD_TAU_LISTS_N7, gap_scan_block_counts
 
 
 def eq4_count(counts, l):
@@ -49,6 +50,35 @@ class TestPredictAcorr:
         allowed = {(1 << k) - 1 for k in range(1, m)}
         for tau in range(1, ctx.n):
             assert abs(predict_acorr(ctx, tau)) in allowed
+
+
+class TestPredictAcorrs:
+    """The all-shifts loop against the per-tau call as its oracle."""
+
+    @pytest.mark.parametrize("m, poly", ALL_SHIFT_FIELDS)
+    def test_matches_per_tau(self, m, poly):
+        ctx = make_field(m, poly)
+        taus = range(1, ctx.n)
+        assert list(predict_acorrs(ctx, taus)) == [predict_acorr(ctx, tau) for tau in taus]
+
+    def test_spread_taus_m15(self):
+        ctx = make_field(15)
+        n = ctx.n
+        taus = sorted({*range(1, n, (n - 1) // 64), n - 1})
+        assert len(taus) == 66
+        assert list(predict_acorrs(ctx, taus)) == [predict_acorr(ctx, tau) for tau in taus]
+
+    def test_empty_taus(self):
+        assert list(predict_acorrs(make_field(3), [])) == []
+
+    def test_reads_taus_once(self):
+        ctx = make_field(4)
+        assert list(predict_acorrs(ctx, iter([3, 1]))) == [predict_acorr(ctx, 3), predict_acorr(ctx, 1)]
+
+    @pytest.mark.parametrize("taus", BAD_TAU_LISTS_N7)
+    def test_bad_tau_rejected(self, taus):
+        with pytest.raises(errors.TauOutOfRange):
+            predict_acorrs(make_field(3), taus)
 
 
 class TestPredictDistribution:
