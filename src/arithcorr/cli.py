@@ -118,7 +118,7 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
     seq = m_sequence(ctx)
     # the taus each route checks, verify's coverage stated once: direct and closed at
     # every tau (the distribution reads every direct value), blocks at every tau up to
-    # m = 14 (every tau would cost about 1.3 s at m = 15 and 4 s at m = 16), above it at
+    # m = 14 (every tau would cost about 0.07 s at m = 15 and 0.23 s at m = 16), above it at
     # 65 spread taus plus n - 1, in order; counting, eqs. (4)-(5) and lemma 1's patterns, to m = 8
     every = range(1, n)
     taus = {"direct": every, "closed": every, "counting": every if m <= 8 else ()}

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithcorr import blocks, errors
+from arithcorr.arith import arithmetic_autocorrs
 from arithcorr.blocks import autocorr_via_blocks, autocorrs_via_blocks, block_type_counts
 from arithcorr.gf2m import find_primitive_polynomials, make_field
 from arithcorr.sequences import BinarySequence, m_sequence
@@ -214,18 +215,41 @@ class TestAutocorrViaBlocks:
 class TestAutocorrsViaBlocks:
     """The all-shifts loop against the per-pair call as its oracle."""
 
+    @staticmethod
+    def forbid(monkeypatch, name):
+        """Make blocks.<name> fail the test when called."""
+        def fail(*args):
+            raise AssertionError(f"blocks.{name} called")
+
+        monkeypatch.setattr(blocks, name, fail)
+
+    @staticmethod
+    def warm_ups(monkeypatch):
+        """The warm-up width of each scan, in call order."""
+        scan, seen = blocks._scan, []
+
+        def spy(v, n, warm):
+            seen.append(warm)
+            return scan(v, n, warm)
+
+        monkeypatch.setattr(blocks, "_scan", spy)
+        return seen
+
     @pytest.mark.parametrize("m, poly", ALL_SHIFT_FIELDS)
     def test_matches_per_pair(self, m, poly):
         seq = m_sequence(make_field(m, poly))
         taus = range(1, seq.period)
         assert list(autocorrs_via_blocks(seq, taus)) == [autocorr_via_blocks(seq, seq.shift(tau)) for tau in taus]
 
-    def test_spread_taus_m15(self):
+    def test_spread_taus_m15(self, monkeypatch):
+        # 66 taus, below n/4: one pair kernel each, and no scan
         seq = m_sequence(make_field(15))
         n = seq.period
         taus = sorted({*range(1, n, (n - 1) // 64), n - 1})
         assert len(taus) == 66
-        assert list(autocorrs_via_blocks(seq, taus)) == [autocorr_via_blocks(seq, seq.shift(tau)) for tau in taus]
+        expected = [autocorr_via_blocks(seq, seq.shift(tau)) for tau in taus]
+        self.forbid(monkeypatch, "_scan")
+        assert list(autocorrs_via_blocks(seq, taus)) == expected
 
     def test_empty_taus(self):
         assert list(autocorrs_via_blocks(BinarySequence("1001011"), [])) == []
@@ -243,23 +267,45 @@ class TestAutocorrsViaBlocks:
             autocorrs_via_blocks(seq, taus)
         assert type(every.value) is type(one.value) is errors.EqualSequences
 
+    # fewer than n/4 taus run the pair kernel: of period 12 from the block 110,
+    # a shift by 3 or 9 equals the sequence, and 1 and 2 do not
+    @pytest.mark.parametrize("taus, equal", [([3], True), ([1, 9], True), ([2, 1], False)])
+    def test_few_taus_raise_like_per_pair(self, taus, equal, monkeypatch):
+        seq = BinarySequence("110" * 4)
+        self.forbid(monkeypatch, "_scan")
+        if equal:
+            with pytest.raises(errors.EqualSequences):
+                autocorrs_via_blocks(seq, taus)
+        else:
+            assert list(autocorrs_via_blocks(seq, taus)) == [eq1_direct(seq, seq.shift(tau)) for tau in taus]
+
     @pytest.mark.parametrize("taus", BAD_TAU_LISTS_N7)
     def test_bad_tau_rejected(self, taus):
         with pytest.raises(errors.TauOutOfRange):
             autocorrs_via_blocks(m_sequence(make_field(3)), taus)
 
-    @settings(max_examples=300)
-    @given(st.integers(2, 70), st.sampled_from(["random", "sparse", "dense"]), st.data())
-    def test_every_tau_of_any_sequence(self, n, kind, data):
-        # sparse and dense periods leave long runs of equal columns, so that
-        # many taus have no unequal column among their first w
+    # every n mod 4, and sequences whose shifts by a multiple of a proper divisor
+    # of n equal them; sparse and dense periods leave long runs of equal
+    # columns, so that many taus meet no unequal column in the warm-up
+    @pytest.mark.parametrize("residue", range(4))
+    @settings(max_examples=75, deadline=None)
+    @given(st.sampled_from(["random", "sparse", "dense", "periodic"]), st.data())
+    def test_scan_matches_per_pair(self, residue, kind, data):
+        # n = 4k + residue in 2..300
+        n = data.draw(st.integers(1 if residue < 2 else 0, (300 - residue) // 4).map(lambda k: 4 * k + residue))
         if kind == "random":
             bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        elif kind == "periodic":
+            d = data.draw(st.sampled_from([d for d in range(1, n) if n % d == 0]))
+            bits = data.draw(st.lists(st.integers(0, 1), min_size=d, max_size=d)) * (n // d)
         else:
             few = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
             bits = [(i in few) ^ (kind == "dense") for i in range(n)]
         seq = BinarySequence(bits)
-        taus = range(1, n)
+        if data.draw(st.booleans()):
+            taus = range(1, n)
+        else:
+            taus = data.draw(st.permutations(range(1, n)))[: data.draw(st.integers(-(-n // 4), n - 1))]
         shifts = [seq.shift(tau) for tau in taus]
         if seq in shifts:
             with pytest.raises(errors.EqualSequences):
@@ -268,36 +314,45 @@ class TestAutocorrsViaBlocks:
         per_pair = [autocorr_via_blocks(seq, b) for b in shifts]
         assert list(autocorrs_via_blocks(seq, taus)) == per_pair == [eq1_direct(seq, b) for b in shifts]
 
-    @staticmethod
-    def widths(monkeypatch):
-        """The window width w of each kernel call, in call order."""
-        kernel, seen = blocks._acorr, []
+    def test_every_tau_never_runs_the_pair_kernel(self, monkeypatch):
+        seq = m_sequence(make_field(12))
+        taus = range(1, seq.period)
+        expected = arithmetic_autocorrs(seq, taus)
+        self.forbid(monkeypatch, "_acorr")
+        assert autocorrs_via_blocks(seq, taus) == expected
 
-        def spy(x, ntop, n, w, full):
-            seen.append(w)
-            return kernel(x, ntop, n, w, full)
-
-        monkeypatch.setattr(blocks, "_acorr", spy)
-        return seen
+    def test_both_sides_of_the_crossover_agree(self, monkeypatch, rng):
+        # n = 40: 10 taus scan every lane, 9 run the pair kernel once each
+        seq = BinarySequence("1101" + "0" * 35 + "1")
+        taus = rng.sample(range(1, 40), 10)
+        expected = [eq1_direct(seq, seq.shift(tau)) for tau in taus]
+        warms = self.warm_ups(monkeypatch)
+        assert list(autocorrs_via_blocks(seq, taus)) == expected
+        assert warms == [6]
+        assert list(autocorrs_via_blocks(seq, taus[:9])) == expected[:9]
+        assert warms == [6]
 
     def test_widens_taus_without_an_early_unequal_column(self, monkeypatch):
-        # n = 16, w = 5: x has ones at columns 15 and 15 - tau, so taus 1..10
-        # have none among the first 5 and take 2n columns
+        # n = 16, warm-up 5: x has ones at columns 15 and 15 - tau, so taus
+        # 1..10 meet none among the first 5 columns and the scan runs again
+        # with a warm-up of n; taus 11..15 alone need no second scan
         seq = BinarySequence("0" * 15 + "1")
         taus = range(1, 16)
         expected = [eq1_direct(seq, seq.shift(tau)) for tau in taus]
-        seen = self.widths(monkeypatch)
+        seen = self.warm_ups(monkeypatch)
         assert list(autocorrs_via_blocks(seq, taus)) == expected
-        assert seen == [5, 16] * 10 + [5] * 5
+        assert seen == [5, 16]
+        assert list(autocorrs_via_blocks(seq, taus[10:])) == expected[10:]
+        assert seen == [5, 16, 5]
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_m_sequences_never_widen(self, m, monkeypatch):
         # s ^ rot(s, tau) is a shift of the m-sequence, which has no run of m
-        # zeros, so the first w = m columns always hold an unequal column
+        # zeros, so the first m = n.bit_length() columns always hold an unequal column
         seq = m_sequence(make_field(m))
-        seen = self.widths(monkeypatch)
+        seen = self.warm_ups(monkeypatch)
         autocorrs_via_blocks(seq, range(1, seq.period))
-        assert seen == [m] * (seq.period - 1)
+        assert seen == [m]
 
 
 @pytest.mark.parametrize("m", range(2, 13))
