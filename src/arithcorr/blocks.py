@@ -35,11 +35,11 @@ shift of it (shift-and-add), with no run of m zeros.  On m-sequences the
 scan costs as much as the kernel on 0.12-0.19 n taus at m = 12..16 and
 0.3-0.45 n at m = 6..10, hence n/4.
 
-`block_type_counts` keeps the per-type counts, which only the counting
-identities of eqs. (4)-(5) read.  Going up in l, the windows with l interior
-columns start at the ones of x still open that have a one of x at distance
-l+1, and bit counts against a and rot(a, l+1) split them by (alpha, beta):
-G+1 rounds.
+`block_type_counts` counts the windows by (alpha, l), summed over beta, the
+split that the counting identities of eqs. (4)-(5) and g read.  Going up in
+l, the windows with l interior columns start at the ones of x still open that
+have a one of x at distance l+1, and bit counts against a split them by alpha
+only: G+1 rounds.
 
 All are carry-free along a row: they use only &, |, ^, shifts and bit counts
 on the row values, never the subtraction that the direct route rests on.
@@ -71,33 +71,27 @@ def _unequal_columns(a: BinarySequence, b: BinarySequence) -> int:
     return x
 
 
-def block_type_counts(a: BinarySequence, b: BinarySequence) -> dict[tuple[int, int, int], int]:
-    """Counts N(alpha, beta; l), keyed (alpha, beta, l), for the matrix with rows a and b.
+def block_type_counts(a: BinarySequence, b: BinarySequence) -> dict[tuple[int, int], int]:
+    """Counts N(alpha, 0; l) + N(alpha, 1; l), keyed (alpha, l), for the matrix with rows a and b.
 
     Only nonzero counts appear; their sum is the number of unequal columns.
     """
     x = _unequal_columns(a, b)
     n = a.period
-    top = a.value
     # two periods side by side: in the low n bits, x2 >> k reads as rot(x, k)
     # for every k <= n, and only the low n bits are ever kept
     x2 = x | (x << n)
-    top2 = top | (top << n)
-    counts: dict[tuple[int, int, int], int] = {}
+    counts: dict[tuple[int, int], int] = {}
     open_ = x
     l = 0
     while open_:
         closed = open_ & (x2 >> (l + 1))
         if closed:
             open_ ^= closed
-            starts1 = closed & top
-            ends_top = top2 >> (l + 1)
-            for alpha, starts in ((0, closed ^ starts1), (1, starts1)):
-                ends1 = starts & ends_top
-                for beta, w in ((0, starts ^ ends1), (1, ends1)):
-                    c = w.bit_count()
-                    if c:
-                        counts[(alpha, beta, l)] = c
+            ones = (closed & a.value).bit_count()  # the windows that start with alpha = 1
+            for alpha, c in ((0, closed.bit_count() - ones), (1, ones)):
+                if c:
+                    counts[(alpha, l)] = c
         l += 1
     return counts
 

@@ -151,7 +151,7 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
         # select exactly these windows: eq4[l] = N(0,0;l)+N(0,1;l),
         # eq5[l] = N(1,0;l)+N(1,1;l)
         eq4, eq5 = [0] * m, [0] * m
-        for (alpha, _beta, l), c in blocks.block_type_counts(seq, seq.shift(tau)).items():
+        for (alpha, l), c in blocks.block_type_counts(seq, seq.shift(tau)).items():
             (eq5 if alpha else eq4)[l] += c
         if sum(eq4) != quarter or sum(eq5) != quarter:
             miss("counting", "count_sums", tau=tau)

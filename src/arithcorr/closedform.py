@@ -5,8 +5,9 @@ basis, the correlation of an m-sequence at shift tau is +-(2^(m-e) - 1)
 with the sign decided by b_0.  The field hands the element over as an int
 (bit i is b_i), so e is its bit length minus one and b_0 its low bit.  The
 per-l window counts have closed forms; the counts they predict are the
-block-type counts of blocks.block_type_counts for the m-sequence against
-its tau-shift, which is what the counting check compares them with.
+alpha = 0 counts of blocks.block_type_counts, keyed (0, l) and summed over
+beta, for the m-sequence against its tau-shift, which is what the counting
+check compares them with.
 """
 
 from __future__ import annotations

@@ -141,16 +141,25 @@ def gap_scan_block_counts(a: BinarySequence, b: BinarySequence) -> dict:
     return counts
 
 
-def g_of(counts: dict) -> int:
-    """g = sum l*(N(0,0;l)+N(0,1;l)) + sum (N(1,0;l)+N(1,1;l))."""
-    g = 0
+def fold_beta(counts: dict) -> dict:
+    """The oracles' counts N(alpha, beta; l), keyed (alpha, beta, l), summed over beta
+    into block_type_counts' keys: {(alpha, l): N(alpha,0;l) + N(alpha,1;l)}."""
+    folded = {}
     for (alpha, _beta, l), c in counts.items():
+        folded[(alpha, l)] = folded.get((alpha, l), 0) + c
+    return folded
+
+
+def g_of(counts: dict) -> int:
+    """g = sum l*(N(0,0;l)+N(0,1;l)) + sum (N(1,0;l)+N(1,1;l)), from counts keyed (alpha, l)."""
+    g = 0
+    for (alpha, l), c in counts.items():
         g += l * c if alpha == 0 else c
     return g
 
 
 def blocks_from_counts(a: BinarySequence, b: BinarySequence) -> int:
-    """The blocks-route value n - 2*g read off the per-type window counts."""
+    """The blocks-route value n - 2*g read off the window counts by (alpha, l)."""
     return a.period - 2 * g_of(block_type_counts(a, b))
 
 

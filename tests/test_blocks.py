@@ -12,6 +12,7 @@ from conftest import (
     BAD_TAU_LISTS_N7,
     blocks_from_counts,
     eq1_direct,
+    fold_beta,
     g_of,
     gap_scan_block_counts,
     naive_block_counts,
@@ -42,14 +43,16 @@ def one_column_acorr(n: int, top_bit: int) -> int:
 class TestBlockTypeCounts:
     def test_frozen_m3_tau1(self):
         seq = m_sequence(make_field(3))
+        windows = {(1, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1, (0, 1, 2): 1}  # N(alpha, beta; l)
+        assert naive_block_counts(seq, seq.shift(1)) == windows
         table = block_type_counts(seq, seq.shift(1))
-        assert table == {(1, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1, (0, 1, 2): 1}
+        assert table == fold_beta(windows) == {(1, 1): 1, (0, 0): 1, (1, 0): 1, (0, 2): 1}
 
     def test_all_columns_unequal(self):
         a = BinarySequence("1111")
         b = BinarySequence("0000")
         table = block_type_counts(a, b)
-        assert all(l == 0 for (_, _, l) in table)
+        assert all(l == 0 for (_, l) in table)
         assert sum(table.values()) == 4
 
     # a single unequal column is the longest gap, n-1, and its window wraps
@@ -58,8 +61,8 @@ class TestBlockTypeCounts:
     def test_one_unequal_column(self, a, b):
         a, b = BinarySequence(a), BinarySequence(b)
         (p,) = [i for i in range(a.period) if a[i] != b[i]]
-        assert block_type_counts(a, b) == {(a[p], a[p], a.period - 1): 1}
-        assert block_type_counts(a, b) == naive_block_counts(a, b)
+        assert block_type_counts(a, b) == {(a[p], a.period - 1): 1}
+        assert block_type_counts(a, b) == fold_beta(naive_block_counts(a, b))
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_matches_gap_scan_oracle(self, m):
@@ -67,14 +70,14 @@ class TestBlockTypeCounts:
             seq = m_sequence(make_field(m, poly))
             for tau in range(1, seq.period):
                 b = seq.shift(tau)
-                assert block_type_counts(seq, b) == gap_scan_block_counts(seq, b)
+                assert block_type_counts(seq, b) == fold_beta(gap_scan_block_counts(seq, b))
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_no_blocks_at_l_ge_m_for_m_sequences(self, m):
         seq = m_sequence(make_field(m))
         for tau in range(1, seq.period):
             table = block_type_counts(seq, seq.shift(tau))
-            assert all(l < m for (_, _, l) in table)
+            assert all(l < m for (_, l) in table)
 
     def test_equal_sequences_rejected(self):
         seq = BinarySequence("1010")
@@ -93,8 +96,8 @@ class TestBlockTypeCounts:
         if pair is None:
             return
         a, b = pair
-        assert block_type_counts(a, b) == naive_block_counts(a, b)
-        assert block_type_counts(a, b) == gap_scan_block_counts(a, b)
+        assert block_type_counts(a, b) == fold_beta(naive_block_counts(a, b))
+        assert block_type_counts(a, b) == fold_beta(gap_scan_block_counts(a, b))
 
     @settings(max_examples=100)
     @given(bit_lists, st.data())
@@ -362,7 +365,7 @@ def test_sum_rules_for_m_sequences(m):
     quarter = 1 << (m - 2)
     for tau in range(1, seq.period):
         table = block_type_counts(seq, seq.shift(tau))
-        top = sum(c for (alpha, _, _), c in table.items() if alpha == 1)
-        bottom = sum(c for (alpha, _, _), c in table.items() if alpha == 0)
+        top = sum(c for (alpha, _), c in table.items() if alpha == 1)
+        bottom = sum(c for (alpha, _), c in table.items() if alpha == 0)
         assert top == quarter
         assert bottom == quarter

@@ -343,7 +343,7 @@ class TestVerify:
             # a window with no interior columns leaves g, and so the blocks
             # route, unchanged, but the eq. (4) windows no longer sum to 2^(m-2)
             c = counts(a, b)
-            return {**c, (0, 0, 0): c.get((0, 0, 0), 0) + 1} if b == a.shift(3) else c
+            return {**c, (0, 0): c.get((0, 0), 0) + 1} if b == a.shift(3) else c
 
         monkeypatch.setattr(closedform, "weighted_sum", lambda ctx, tau: weighted(ctx, tau) + (tau == 5))
         monkeypatch.setattr(BinarySequence, "pattern_count", lambda self, p: pattern_count(self, p) + (p == (1, 1)))

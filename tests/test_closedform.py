@@ -15,12 +15,12 @@ from arithcorr.closedform import (
 )
 from arithcorr.gf2m import GF2m, find_primitive_polynomials, make_field
 from arithcorr.sequences import m_sequence
-from conftest import ALL_SHIFT_FIELDS, BAD_TAU_LISTS_N7, gap_scan_block_counts
+from conftest import ALL_SHIFT_FIELDS, BAD_TAU_LISTS_N7, fold_beta, gap_scan_block_counts
 
 
 def eq4_count(counts, l):
-    """N(0,0;l) + N(0,1;l) read off a block-type count dict."""
-    return counts.get((0, 0, l), 0) + counts.get((0, 1, l), 0)
+    """N(0,0;l) + N(0,1;l) read off window counts keyed (alpha, l)."""
+    return counts.get((0, l), 0)
 
 
 def shift_pairs(ctx):
@@ -143,7 +143,7 @@ class TestLemma4:
     def test_matches_brute_force(self, m):
         ctx = make_field(m)
         for tau, a, b in shift_pairs(ctx):
-            counts = gap_scan_block_counts(a, b)
+            counts = fold_beta(gap_scan_block_counts(a, b))
             for l in range(1, m):
                 assert lemma4_count(ctx, tau, l) == eq4_count(counts, l)
 
@@ -162,7 +162,7 @@ class TestBruteCounts:
         for m in range(2, 11):
             for poly in find_primitive_polynomials(m, 3):
                 for _tau, a, b in shift_pairs(make_field(m, poly)):
-                    assert all(l < m for (_, _, l) in block_type_counts(a, b))
+                    assert all(l < m for (_, l) in block_type_counts(a, b))
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_sums_are_quarter_field(self, m):
@@ -170,7 +170,7 @@ class TestBruteCounts:
         for poly in find_primitive_polynomials(m, 3):
             for _tau, a, b in shift_pairs(make_field(m, poly)):
                 sums = [0, 0]
-                for (alpha, _, _), c in block_type_counts(a, b).items():
+                for (alpha, _), c in block_type_counts(a, b).items():
                     sums[alpha] += c
                 assert sums == [quarter, quarter]
 
@@ -194,7 +194,7 @@ class TestWeightedSum:
     def test_matches_brute_force(self, m):
         ctx = make_field(m)
         for tau, a, b in shift_pairs(ctx):
-            counts = gap_scan_block_counts(a, b)
+            counts = fold_beta(gap_scan_block_counts(a, b))
             assert weighted_sum(ctx, tau) == sum(l * eq4_count(counts, l) for l in range(m))
 
 
