@@ -21,6 +21,7 @@ TEXT_LIMIT = 8 * 1024
 
 COMMANDS = [
     ["verify", "--m-range", "2..16", "--json"],
+    ["verify", "--m-range", "2..16"],
     ["verify", "--m-range", "2..12"],
     ["verify", "--m-range", "2..12", "--polys", "all"],
     *(["acorr", "--m", str(m), "--all", "--method", "all"] for m in range(2, 15)),
