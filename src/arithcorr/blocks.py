@@ -21,13 +21,15 @@ n/4 taus.
 
 Asked for more, it scans the columns once for every tau, with the taus as
 bit lanes: at column c the lanes' bottom bits form r = rot(s, c), bit tau
-being s_(c+tau), and the top bit s_c is one constant.  The label q marks the
+being s_(c+tau), and the top bit s_c is one constant.  r rolls from column to
+column: r >> 1, with s_c put back in lane n-1.  The label q marks the
 lanes whose last unequal column has top bit 0.  A top-0 column does
 q |= r and counts the lanes q ^ r; a top-1 column does q &= r and counts
 mask ^ q ^ r.  Carry-save adders (Harley-Seal) add each column's counted
 lanes into the bit planes of every lane's g, about five operations per
 column, and the planes go into 4-byte slots, lane tau in slot tau, as
-`classical_autocorrs` strides its decimal slots.  A warm-up over the first
+`classical_autocorrs` strides its decimal slots, 4096 lanes at a time, so
+that the scan holds about twice its result at its peak.  A warm-up over the first
 n.bit_length() columns sets q; a requested lane that meets no unequal column
 there is scanned again with a warm-up of n, and one that still meets none is
 a shift equal to seq.  An m-sequence never needs the second scan: x is a
@@ -59,6 +61,9 @@ from .sequences import BinarySequence
 
 # ASCII binary digits to the bytes 0 and 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+# the lanes moved into 4-byte slots at a time, so the transposition holds
+# 16 KiB slot vectors beside the result, a multiple of 8 so a plane splits at a byte
+_LANES = 4096
 
 
 def _unequal_columns(a: BinarySequence, b: BinarySequence) -> int:
@@ -122,31 +127,31 @@ def _scan(v: int, n: int, warm: int) -> tuple[array, int]:
     """A of the pair (v, v shifted by tau) in item tau, for every lane tau = 0..n-1,
     from one scan over the columns, and the lanes that meet an unequal column among
     the first `warm`; item tau is right for each of those."""
-    mask = (1 << n) - 1
-    v2 = v | v << n
+    mask, hb = (1 << n) - 1, 1 << (n - 1)
+    r = v  # bit tau: the bottom row's bit at the column, s_(col+tau), rolled one column on
     q = seen = 0  # q: the lanes whose last unequal column has top bit 0
     for col in range(warm):
-        r = (v2 >> col) & mask  # bit tau: the bottom row's bit, s_(col+tau)
         if v >> col & 1:
             seen |= mask ^ r
             q &= r
+            r = r >> 1 | hb
         else:
             seen |= r
             q |= r
-    # the counted columns warm..warm+n-1, read off the period rotated by warm;
-    # acc[k] is bit k of each lane's g, pend[k] a vector of weight 2^k that
-    # waits for a partner to go through a carry-save adder with acc[k]
-    v = (v2 >> warm) & mask
-    v2 = v | v << n
+            r >>= 1
+    # the counted columns warm..warm+n-1, read off the period rotated by warm,
+    # which r now is; acc[k] is bit k of each lane's g, pend[k] a vector of
+    # weight 2^k that waits for a partner to go through a carry-save adder with acc[k]
     acc, pend = [0] * (n.bit_length() + 1), [0] * (n.bit_length() + 1)
-    for col, top in enumerate(format(v, f"0{n}b")[::-1]):
-        r = (v2 >> col) & mask
+    for top in reversed(format(r, f"0{n}b")):
         if top == "1":
             q &= r
             c = mask ^ q ^ r  # the unequal lanes, and the equal ones that q holds
+            r = r >> 1 | hb
         else:
             q |= r
             c = q ^ r  # the equal lanes that q holds
+            r >>= 1
         k = 0
         while c:
             p = pend[k]
@@ -165,15 +170,22 @@ def _scan(v: int, n: int, warm: int) -> tuple[array, int]:
             acc[k] = a ^ p
             p &= a
             k += 1
-    # bit plane k into 4-byte slots, lane tau in slot tau, and n - 2g per slot,
-    # offset by 2^31 so that no slot borrows from the next; flipping bit 31
-    # then leaves each slot's A in two's complement
-    slots = bytearray(4 * n)
-    packed = int.from_bytes((n + (1 << 31)).to_bytes(4, "little") * n, "little")
+    # bit plane k into 4-byte slots, lane tau in slot tau, _LANES lanes at a
+    # time, and n - 2g per slot, offset by 2^31 so that no slot borrows from the
+    # next; flipping bit 31 then leaves each slot's A in two's complement
     for k, plane in enumerate(acc):
-        slots[::4] = format(plane, f"0{n}b").encode().translate(_BIT_BYTES)[::-1]
-        packed -= int.from_bytes(slots, "little") << (k + 1)
-    acorrs = array("i", (packed ^ int.from_bytes(b"\0\0\0\x80" * n, "little")).to_bytes(4 * n, "little"))
+        acc[k] = plane.to_bytes(-(-n // 8), "little")
+    acorrs = array("i", [0]) * n
+    for lo in range(0, n, _LANES):
+        w = min(_LANES, n - lo)
+        slots = bytearray(4 * w)
+        packed = int.from_bytes((n + (1 << 31)).to_bytes(4, "little") * w, "little")
+        for k, plane in enumerate(acc):
+            bits = int.from_bytes(plane[lo // 8 : (lo + w + 7) // 8], "little")
+            slots[::4] = format(bits, f"0{w}b").encode().translate(_BIT_BYTES)[::-1]
+            packed -= int.from_bytes(slots, "little") << (k + 1)
+        flip = int.from_bytes(b"\0\0\0\x80" * w, "little")
+        acorrs[lo : lo + w] = array("i", (packed ^ flip).to_bytes(4 * w, "little"))
     if sys.byteorder == "big":
         acorrs.byteswap()
     return acorrs, seen

@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from array import array
 from collections import Counter
 from itertools import product
+from operator import neg
 
 from . import arith, blocks, closedform, gf2m
 from .errors import ArithCorrError, RangeFormatError, check_tau, excerpt
@@ -21,9 +23,10 @@ from .sequences import m_sequence
 # Timed on a 2-core x86-64 host with Python 3.11
 ALL_SHIFTS_COST = (
     "The direct route over all shifts (acorr --all, dist) does O(4^m) bit operations: about 17 s at m = 18, "
-    "5 min at m = 20, 2 h at m = 22 and 30 h at m = 24. verify walks every shift once, for the direct route, "
-    "and checks lemma 1's classical autocorrelation from one decimal product: about 1.3 s at m = 16, 4 s at "
-    "m = 17, 15 s at m = 18 and 55 s at m = 19; above m = 18 the direct route at every tau dominates its time."
+    "5 min at m = 20, 2 h at m = 22 and 30 h at m = 24. verify walks every shift once, for the direct route up "
+    "to m = 14 and for the blocks scan above, and checks lemma 1's classical autocorrelation from one decimal "
+    "product: about 0.7 s at m = 16, 1.8 s at m = 17, 6 s at m = 18 and 23 s at m = 19; above m = 17 the blocks "
+    "scan at every tau dominates its time, about four times longer per degree."
 )
 # taus per slice of acorr rows built before writing
 _ROW_SLICE = 4096
@@ -116,13 +119,15 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
     m, n = ctx.m, ctx.n
     poly = f"0x{ctx.modulus:x}"
     seq = m_sequence(ctx)
-    # the taus each route checks, verify's coverage stated once: direct and closed at
-    # every tau (the distribution reads every direct value), blocks at every tau up to
-    # m = 14 (every tau would cost about 0.07 s at m = 15 and 0.23 s at m = 16), above it at
-    # 65 spread taus plus n - 1, in order; counting, eqs. (4)-(5) and lemma 1's patterns, to m = 8
+    # the taus each route checks, verify's coverage stated once: blocks and closed at every
+    # tau, direct at every tau up to m = 14 and above it at 65 spread taus plus n - 1, in
+    # order (from m = 15 the blocks scan over every tau costs less); the distribution reads
+    # the exhaustive 2-adic column; counting, eqs. (4)-(5) and lemma 1's patterns, to m = 8
     every = range(1, n)
-    taus = {"direct": every, "closed": every, "counting": every if m <= 8 else ()}
-    taus["blocks"] = every if m <= 14 else sorted({*range(1, n, (n - 1) // 64), n - 1})
+    taus = {"direct": every, "blocks": every, "closed": every, "counting": every if m <= 8 else ()}
+    if m > 14:
+        taus["direct"] = sorted({*range(1, n, (n - 1) // 64), n - 1})
+    source, other = ("direct", "blocks") if taus["direct"] is every else ("blocks", "direct")
     checks = ["three_way", "lemma1"] + (["counting"] if taus["counting"] else []) + ["distribution"]
     bad = {check: [] for check in checks}
 
@@ -135,16 +140,17 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
         if tau and classical != -1:
             miss("lemma1", "classical", tau=tau)
 
-    # the routes come as columns, one value per tau of their table entry, so
-    # directs[tau - 1] is A(tau); odd keeps the blocks values that differ
-    directs = arith.arithmetic_autocorrs(seq, taus["direct"])
-    block_values = zip(taus["blocks"], blocks.autocorrs_via_blocks(seq, taus["blocks"]))
-    odd = {tau: value for tau, value in block_values if value != directs[tau - 1]}
+    # the routes come as columns, one value per tau of their table entry, so column[tau - 1]
+    # is A(tau) from the exhaustive route; odd keeps the other route's values that differ
+    run = {"direct": arith.arithmetic_autocorrs, "blocks": blocks.autocorrs_via_blocks}
+    column = run[source](seq, taus[source])
+    odd = {tau: value for tau, value in zip(taus[other], run[other](seq, taus[other])) if value != column[tau - 1]}
     closeds = closedform.predict_acorrs(ctx, taus["closed"])
-    for tau, direct, closed in zip(taus["direct"], directs, closeds):
-        if direct != closed or tau in odd:
-            via_blocks = odd.get(tau, direct) if tau in taus["blocks"] else None
-            miss("three_way", "three_way", tau=tau, direct=direct, blocks=via_blocks, closed=closed)
+    if odd or column != closeds:
+        for tau, value, closed in zip(taus[source], column, closeds):
+            if value != closed or tau in odd:
+                values = {source: value, other: odd.get(tau, value) if tau in taus[other] else None}
+                miss("three_way", "three_way", tau=tau, direct=values["direct"], blocks=values["blocks"], closed=closed)
     quarter = 1 << (m - 2)
     for tau in taus["counting"]:
         # walked in pi-power order, the trace conditions of eqs. (4)-(5)
@@ -169,21 +175,24 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
                 got = seq.pattern_count(pattern)
                 if got != expected:
                     miss("lemma1", "pattern", pattern="".join(map(str, pattern)), expected=expected, got=got)
-    if Counter(directs) != closedform.predict_distribution(m):
+    if Counter(column) != closedform.predict_distribution(m):
         miss("distribution", "distribution")
     # modulo 2^n - 1, d(n - tau) = -2^tau * d(tau): the power of 2 rotates the
     # bits and the negation complements them, so A(n - tau) = -A(tau)
-    for tau, direct, mirror in zip(range(1, n // 2 + 1), directs, reversed(directs)):
-        if mirror != -direct:
-            miss("distribution", "antisymmetry", tau=tau, direct=direct, mirror=mirror)
+    if column != array("i", map(neg, reversed(column))):
+        for tau, value, mirror in zip(range(1, n // 2 + 1), column, reversed(column)):
+            if mirror != -value:
+                miss("distribution", "antisymmetry", tau=tau, **{source: value}, mirror=mirror)
 
     for check, records in bad.items():
         row = {"check": check, "m": m, "poly": poly, "status": "fail" if records else "pass"}
         if check == "three_way":
             row["taus_checked"] = {route: len(taus[route]) for route in ("direct", "blocks", "closed")}
-            row["sampled"] = len(taus["blocks"]) < n - 1
+            row["sampled"] = min(row["taus_checked"].values()) < n - 1
         elif check == "lemma1":
             row["patterns_checked"] = bool(taus["counting"])
+        elif check == "distribution":
+            row["distribution_source"] = source
         rows.append(row)
         mismatches.extend(records)
 

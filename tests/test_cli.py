@@ -253,21 +253,30 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: {BAD_M_RANGES[bad]}\n"
 
-    # m = 14 is the last degree with the blocks route at every tau; m = 15
-    # samples 66 of its 32766 taus; m = 17 (slow) is the first degree with
-    # 'I'-typecode Zech tables
+    # blocks and closed run at every tau at every m; m = 14 is the last degree
+    # with the direct route at every tau, m = 15 samples it at 66 of its 32766
+    # taus; m = 17 (slow) is the first degree with 'I'-typecode Zech tables
     @pytest.mark.parametrize(
-        "m, blocks, sampled",
+        "m, direct, sampled",
         [(5, 30, False), (14, 16382, False), (15, 66, True), pytest.param(17, 66, True, marks=pytest.mark.slow)],
     )
-    def test_three_way_coverage(self, capsys, m, blocks, sampled):
+    def test_three_way_coverage(self, capsys, m, direct, sampled):
         code, out, _ = run(capsys, "verify", "--m-range", f"{m}..{m}", "--json")
         doc = json.loads(out)
         (row,) = [r for r in doc["rows"] if r["check"] == "three_way"]
         n = (1 << m) - 1
         assert (code, doc["status"]) == (0, "pass")
-        assert row["taus_checked"] == {"direct": n - 1, "blocks": blocks, "closed": n - 1}
+        assert row["taus_checked"] == {"direct": direct, "blocks": n - 1, "closed": n - 1}
         assert row["sampled"] is sampled
+
+    def test_distribution_source(self, capsys):
+        # the distribution reads the route that runs at every tau: direct up to m = 14, blocks above
+        code, out, _ = run(capsys, "verify", "--m-range", "14..15", "--json")
+        doc = json.loads(out)
+        assert (code, doc["status"]) == (0, "pass")
+        sources = {r["m"]: r["distribution_source"] for r in doc["rows"] if r["check"] == "distribution"}
+        assert sources == {14: "direct", 15: "blocks"}
+        assert all("distribution_source" not in r for r in doc["rows"] if r["check"] != "distribution")
 
     def test_counting_stops_after_m8(self, capsys):
         code, out, _ = run(capsys, "verify", "--m-range", "8..9", "--json")
@@ -394,15 +403,40 @@ class TestVerify:
             {"check": "three_way", "m": 4, "poly": "0x13", "tau": 3, "direct": a3, "blocks": a3 + 1, "closed": a3}
         ]
 
-    def test_blocks_null_where_not_run(self, capsys, monkeypatch):
-        # m = 15 samples the blocks route at 1, 512, 1023, ...: tau = 2 is not among them
+    def test_direct_null_where_not_run(self, capsys, monkeypatch):
+        # m = 15 samples the direct route at 1, 512, 1023, ...: tau = 2 is not among them
         closed_off_at(monkeypatch, 2, 512)
         code, out, _ = run(capsys, "verify", "--m-range", "15..15", "--json")
         records = json.loads(out)["mismatches"]
         assert code == 1
-        assert [(r["tau"], r["blocks"] == r["direct"], r["blocks"] is None) for r in records] == [
+        assert [(r["tau"], r["direct"] == r["blocks"], r["direct"] is None) for r in records] == [
             (2, False, True),
             (512, True, False),
+        ]
+
+    def test_blocks_failure_recorded_above_m14(self, capsys, monkeypatch):
+        # at m = 15 blocks is the exhaustive column: one wrong value fails the
+        # three-way check, the distribution and, at 32767 - 512, antisymmetry
+        via_blocks = blocks.autocorrs_via_blocks
+
+        def off_at_512(seq, taus):
+            values = via_blocks(seq, taus)
+            for i, tau in enumerate(taus):
+                values[i] += tau == 512
+            return values
+
+        monkeypatch.setattr(blocks, "autocorrs_via_blocks", off_at_512)
+        code, out, err = run(capsys, "verify", "--m-range", "15..15", "--json")
+        doc = json.loads(out)
+        a = arith.arithmetic_autocorr(m_sequence(make_field(15)), 512)
+        assert (code, err) == (1, "")
+        (row,) = [r for r in doc["rows"] if r["check"] == "distribution"]
+        assert (row["status"], row["distribution_source"]) == ("fail", "blocks")
+        poly = row["poly"]
+        assert doc["mismatches"] == [
+            {"check": "three_way", "m": 15, "poly": poly, "tau": 512, "direct": a, "blocks": a + 1, "closed": a},
+            {"check": "distribution", "m": 15, "poly": poly},
+            {"check": "antisymmetry", "m": 15, "poly": poly, "tau": 512, "blocks": a + 1, "mirror": -a},
         ]
 
 
@@ -463,17 +497,17 @@ FAILING_VERIFY_DOC = {
          "taus_checked": {"direct": 6, "blocks": 6, "closed": 6}, "sampled": False},
         {"check": "lemma1", "m": 3, "poly": "0xb", "status": "fail", "patterns_checked": True},
         {"check": "counting", "m": 3, "poly": "0xb", "status": "fail"},
-        {"check": "distribution", "m": 3, "poly": "0xb", "status": "pass"},
+        {"check": "distribution", "m": 3, "poly": "0xb", "status": "pass", "distribution_source": "direct"},
         {"check": "three_way", "m": 4, "poly": "0x13", "status": "fail",
          "taus_checked": {"direct": 14, "blocks": 14, "closed": 14}, "sampled": False},
         {"check": "lemma1", "m": 4, "poly": "0x13", "status": "fail", "patterns_checked": True},
         {"check": "counting", "m": 4, "poly": "0x13", "status": "fail"},
-        {"check": "distribution", "m": 4, "poly": "0x13", "status": "pass"},
+        {"check": "distribution", "m": 4, "poly": "0x13", "status": "pass", "distribution_source": "direct"},
         {"check": "three_way", "m": 5, "poly": "0x25", "status": "fail",
          "taus_checked": {"direct": 30, "blocks": 30, "closed": 30}, "sampled": False},
         {"check": "lemma1", "m": 5, "poly": "0x25", "status": "fail", "patterns_checked": True},
         {"check": "counting", "m": 5, "poly": "0x25", "status": "fail"},
-        {"check": "distribution", "m": 5, "poly": "0x25", "status": "pass"},
+        {"check": "distribution", "m": 5, "poly": "0x25", "status": "pass", "distribution_source": "direct"},
     ],
     "mismatches": [
         {"check": "three_way", "m": 3, "poly": "0xb", "tau": 2, "direct": -3, "blocks": -3, "closed": -2},
@@ -526,7 +560,7 @@ def test_help_exits_0(capsys, command):
     assert out.startswith(f"usage: arithcorr {command}")
     if command == "verify":
         # argparse wraps the help at the terminal's width
-        assert "above m = 18 the direct route at every tau dominates" in " ".join(out.split())
+        assert "above m = 17 the blocks scan at every tau dominates" in " ".join(out.split())
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
