@@ -27,6 +27,7 @@ COMMANDS = [
     *(["acorr", "--m", str(m), "--all", "--method", "all"] for m in range(2, 15)),
     ["acorr", "--m", "12", "--all", "--method", "all", "--json"],
     ["dist", "--m", "12", "--check"],
+    ["dist", "--m", "15", "--check", "--json"],
 ]
 # about 2.7 s on a 2-core x86-64 host
 SLOW_COMMANDS = [["verify", "--m-range", "17..17", "--json"]]
