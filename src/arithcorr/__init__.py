@@ -6,30 +6,26 @@ Three mathematically independent routes to the same quantity:
   - closedform: prediction from the basis expansion of (1 + pi^tau)^-1
 """
 
-from .arith import arithmetic_autocorr, distribution
-from .blocks import autocorr_via_blocks, block_type_counts
-from .closedform import (
-    lemma4_count,
-    predict_acorr,
-    predict_distribution,
-    weighted_sum,
-)
+from .arith import arithmetic_autocorr, arithmetic_autocorrs
+from .blocks import autocorr_via_blocks, autocorrs_via_blocks, block_type_counts
+from .closedform import lemma4_count, predict_acorrs, predict_distribution, weighted_sum
 from .gf2m import find_primitive_polynomials, format_poly, make_field, parse_poly
 from .sequences import BinarySequence, m_sequence
 
 __all__ = [
     "BinarySequence",
     "arithmetic_autocorr",
+    "arithmetic_autocorrs",
     "autocorr_via_blocks",
+    "autocorrs_via_blocks",
     "block_type_counts",
-    "distribution",
     "find_primitive_polynomials",
     "format_poly",
     "lemma4_count",
     "m_sequence",
     "make_field",
     "parse_poly",
-    "predict_acorr",
+    "predict_acorrs",
     "predict_distribution",
     "weighted_sum",
 ]

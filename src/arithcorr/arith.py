@@ -9,7 +9,6 @@ signed values depend on this choice.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 
 from .errors import ShiftEqualsSequence, check_tau, check_taus
 from .sequences import BinarySequence
@@ -37,8 +36,3 @@ def arithmetic_autocorrs(seq: BinarySequence, taus) -> array:
     s, n = seq.value, seq.period
     s2, full = s | s << n, (1 << n) - 1
     return array("i", (_corr(s, s2, full, tau, n) for tau in check_taus(taus, n)))
-
-
-def distribution(seq: BinarySequence) -> dict[int, int]:
-    """Multiset of arithmetic_autocorr(seq, tau) over tau = 1..n-1."""
-    return dict(Counter(arithmetic_autocorrs(seq, range(1, seq.period))))

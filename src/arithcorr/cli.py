@@ -22,9 +22,10 @@ from .sequences import m_sequence
 
 # Timed on a 2-core x86-64 host with Python 3.11
 ALL_SHIFTS_COST = (
-    "The direct route over all shifts (acorr --all, dist) does O(4^m) bit operations: about 17 s at m = 18, "
-    "5 min at m = 20, 2 h at m = 22 and 30 h at m = 24. verify walks every shift once, for the direct route up "
-    "to m = 14 and for the blocks scan above, and checks lemma 1's classical autocorrelation from one decimal "
+    "The direct route over all shifts (acorr --all --method direct|all) does O(4^m) bit operations: about 17 s "
+    "at m = 18, 5 min at m = 20, 2 h at m = 22 and 30 h at m = 24. dist and verify walk every shift once, by the "
+    "direct route up to m = 14 and by the blocks scan above: dist --check takes about 0.6 s at m = 16, 1.9 s at "
+    "m = 17 and 5.8 s at m = 18. verify also checks lemma 1's classical autocorrelation from one decimal "
     "product: about 0.7 s at m = 16, 1.8 s at m = 17, 6 s at m = 18 and 23 s at m = 19; above m = 17 the blocks "
     "scan at every tau dominates its time, about four times longer per degree."
 )
@@ -34,6 +35,17 @@ _ROW_SLICE = 4096
 
 def _resolve_field(m: int, poly_text: str | None) -> GF2m:
     return make_field(m, None if poly_text is None else parse_poly(poly_text))
+
+
+def _exhaustive_route(m: int) -> str:
+    """The 2-adic route that runs at every tau, verify's distribution column and dist's:
+    direct up to m = 14, the blocks scan above, where it costs less."""
+    return "direct" if m <= 14 else "blocks"
+
+
+def _column(route: str, seq, taus) -> array:
+    """A(tau) for each tau of taus by the carry-free 2-adic route named, looked up at call time."""
+    return (arith.arithmetic_autocorrs if route == "direct" else blocks.autocorrs_via_blocks)(seq, taus)
 
 
 def cmd_gen(args) -> int:
@@ -92,8 +104,7 @@ def cmd_acorr(args) -> int:
 
 def cmd_dist(args) -> int:
     ctx = _resolve_field(args.m, args.poly)
-    seq = m_sequence(ctx)
-    dist = arith.distribution(seq)
+    dist = Counter(_column(_exhaustive_route(ctx.m), m_sequence(ctx), range(1, ctx.n)))
     ok = dist == closedform.predict_distribution(ctx.m) if args.check else None
     if args.json:
         doc = {
@@ -120,14 +131,15 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
     poly = f"0x{ctx.modulus:x}"
     seq = m_sequence(ctx)
     # the taus each route checks, verify's coverage stated once: blocks and closed at every
-    # tau, direct at every tau up to m = 14 and above it at 65 spread taus plus n - 1, in
-    # order (from m = 15 the blocks scan over every tau costs less); the distribution reads
-    # the exhaustive 2-adic column; counting, eqs. (4)-(5) and lemma 1's patterns, to m = 8
+    # tau, direct at every tau where it is the exhaustive 2-adic route and otherwise at 65
+    # spread taus plus n - 1, in order; the distribution reads the exhaustive 2-adic column;
+    # counting, eqs. (4)-(5) and lemma 1's patterns, to m = 8
     every = range(1, n)
     taus = {"direct": every, "blocks": every, "closed": every, "counting": every if m <= 8 else ()}
-    if m > 14:
+    source = _exhaustive_route(m)
+    other = "blocks" if source == "direct" else "direct"
+    if source == "blocks":
         taus["direct"] = sorted({*range(1, n, (n - 1) // 64), n - 1})
-    source, other = ("direct", "blocks") if taus["direct"] is every else ("blocks", "direct")
     checks = ["three_way", "lemma1"] + (["counting"] if taus["counting"] else []) + ["distribution"]
     bad = {check: [] for check in checks}
 
@@ -142,9 +154,8 @@ def _verify_field(ctx: GF2m, rows: list, mismatches: list) -> None:
 
     # the routes come as columns, one value per tau of their table entry, so column[tau - 1]
     # is A(tau) from the exhaustive route; odd keeps the other route's values that differ
-    run = {"direct": arith.arithmetic_autocorrs, "blocks": blocks.autocorrs_via_blocks}
-    column = run[source](seq, taus[source])
-    odd = {tau: value for tau, value in zip(taus[other], run[other](seq, taus[other])) if value != column[tau - 1]}
+    column = _column(source, seq, taus[source])
+    odd = {tau: value for tau, value in zip(taus[other], _column(other, seq, taus[other])) if value != column[tau - 1]}
     closeds = closedform.predict_acorrs(ctx, taus["closed"])
     if odd or column != closeds:
         for tau, value, closed in zip(taus[source], column, closeds):

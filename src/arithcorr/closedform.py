@@ -24,15 +24,8 @@ def _expansion(ctx: GF2m, tau: int) -> tuple[int, int]:
     return el.bit_length() - 1, el & 1
 
 
-def predict_acorr(ctx: GF2m, tau: int) -> int:
-    """Closed-form correlation at shift tau from the inverse expansion."""
-    e, b0 = _expansion(ctx, tau)
-    magnitude = (1 << (ctx.m - e)) - 1
-    return magnitude if b0 else -magnitude
-
-
 def predict_acorrs(ctx: GF2m, taus) -> array:
-    """predict_acorr(ctx, tau) for each tau of taus, in order; each tau in 1..n-1."""
+    """The closed-form correlation +-(2^(m-e) - 1) for each tau of taus, in order; each tau in 1..n-1."""
     log, antilog = ctx._zech_tables()
     n, m = ctx.n, ctx.m
     out = array("i")

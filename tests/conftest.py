@@ -15,8 +15,9 @@ ALL_SHIFT_FIELDS = [(m, p) for m in range(2, 7) for p in find_primitive_polynomi
 ALL_SHIFT_FIELDS += [(m, None) for m in range(7, 13)]
 # taus the all-shift loops must reject at n = 7: the two edges, n + 1 and 2n - 1
 # (which a shift of a doubled or tripled period would read as a rotation), a
-# negative one (which an array index would wrap), a float and an int past 64 bits
-BAD_TAUS_N7 = [0, 7, 8, 13, -1, 2.0, 10**30]
+# negative one (which an array index would wrap), a float, an int past 64 bits, a
+# digit string and None
+BAD_TAUS_N7 = [0, 7, 8, 13, -1, 2.0, 10**30, "2", None]
 # each alone, after a good tau, and ranges that run past either edge
 BAD_TAU_LISTS_N7 = [[tau] for tau in BAD_TAUS_N7] + [[1, tau] for tau in BAD_TAUS_N7]
 BAD_TAU_LISTS_N7 += [range(0, 3), range(1, 8), range(6, -1, -1), range(13, 5, -1)]
@@ -56,6 +57,15 @@ def field_inv(ctx: GF2m, a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("zero has no multiplicative inverse")
     return field_pow(ctx, a, ctx.n - 1)
+
+
+def predict_acorr(ctx: GF2m, tau: int) -> int:
+    """Closed-form correlation +-(2^(m-e) - 1) at one shift tau, the sign from b_0, read off
+    the expansion (1 + pi^tau)^-1 = b_0 + ... + pi^e that ctx.expand_inverse_one_plus_pi_tau
+    returns: the per-tau oracle of closedform.predict_acorrs, which reads the Zech tables."""
+    el = ctx.expand_inverse_one_plus_pi_tau(tau)
+    magnitude = (1 << (ctx.m + 1 - el.bit_length())) - 1
+    return magnitude if el & 1 else -magnitude
 
 
 def trace_by_squaring(ctx: GF2m, a: int) -> int:

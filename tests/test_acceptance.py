@@ -6,17 +6,18 @@ the per-criterion lines as they complete.
 
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from arithcorr.arith import arithmetic_autocorr, distribution
+from arithcorr.arith import arithmetic_autocorr, arithmetic_autocorrs
 from arithcorr.blocks import autocorr_via_blocks
-from arithcorr.closedform import lemma4_count, predict_acorr, predict_distribution
+from arithcorr.closedform import lemma4_count, predict_distribution
 from arithcorr.errors import ShiftEqualsSequence
 from arithcorr.gf2m import find_primitive_polynomials, make_field
 from arithcorr.sequences import BinarySequence, m_sequence
-from conftest import fold_beta, gap_scan_block_counts
+from conftest import fold_beta, gap_scan_block_counts, predict_acorr
 
 
 def report(name, ok, extra=""):
@@ -32,7 +33,7 @@ def test_criterion_1_distribution_reproduction():
     ok = True
     for m in range(2, 13):
         seq = m_sequence(make_field(m))
-        if distribution(seq) != predict_distribution(m):
+        if Counter(arithmetic_autocorrs(seq, range(1, seq.period))) != predict_distribution(m):
             ok = False
     report("1 distribution m=2..12", ok, f"{time.time() - start:.2f}s")
 
@@ -77,7 +78,8 @@ def test_criterion_2_three_way_agreement_m15_m16():
 def test_criterion_3_chen_bound_attained():
     ok = True
     for m in range(2, 13):
-        dist = distribution(m_sequence(make_field(m)))
+        seq = m_sequence(make_field(m))
+        dist = Counter(arithmetic_autocorrs(seq, range(1, seq.period)))
         bound = (1 << (m - 1)) - 1
         if any(abs(v) > bound for v in dist):
             ok = False

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithcorr import errors
-from arithcorr.arith import arithmetic_autocorr, arithmetic_autocorrs, distribution
+from arithcorr.arith import arithmetic_autocorr, arithmetic_autocorrs
 from arithcorr.gf2m import make_field
 from arithcorr.sequences import BinarySequence, m_sequence
 from conftest import ALL_SHIFT_FIELDS, BAD_TAU_LISTS_N7, eq1_direct
@@ -79,25 +81,21 @@ class TestArithmeticAutocorr:
     def test_chen_bound(self, m):
         seq = m_sequence(make_field(m))
         bound = (1 << (m - 1)) - 1
-        assert all(abs(v) <= bound for v in distribution(seq))
+        assert all(abs(v) <= bound for v in Counter(arithmetic_autocorrs(seq, range(1, seq.period))))
 
 
 class TestDistribution:
     def test_frozen_small(self):
-        assert distribution(m_sequence(make_field(2))) == {1: 1, -1: 1}
-        assert distribution(m_sequence(make_field(3))) == {1: 2, -1: 2, 3: 1, -3: 1}
-        assert distribution(m_sequence(make_field(4))) == {
-            1: 4, -1: 4, 3: 2, -3: 2, 7: 1, -7: 1,
-        }
+        expected = {2: {1: 1, -1: 1}, 3: {1: 2, -1: 2, 3: 1, -3: 1}, 4: {1: 4, -1: 4, 3: 2, -3: 2, 7: 1, -7: 1}}
+        for m, dist in expected.items():
+            seq = m_sequence(make_field(m))
+            assert Counter(arithmetic_autocorrs(seq, range(1, seq.period))) == dist
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_total_multiplicity(self, m):
-        dist = distribution(m_sequence(make_field(m)))
+        seq = m_sequence(make_field(m))
+        dist = Counter(arithmetic_autocorrs(seq, range(1, seq.period)))
         assert sum(dist.values()) == (1 << m) - 2
-
-    def test_propagates_shift_equals_sequence(self):
-        with pytest.raises(errors.ShiftEqualsSequence):
-            distribution(BinarySequence("0101"))
 
 
 class TestArithmeticAutocorrs:

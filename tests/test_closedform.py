@@ -4,18 +4,12 @@ from fractions import Fraction
 import pytest
 
 from arithcorr import errors
-from arithcorr.arith import arithmetic_autocorr, distribution
+from arithcorr.arith import arithmetic_autocorr, arithmetic_autocorrs
 from arithcorr.blocks import autocorr_via_blocks, block_type_counts
-from arithcorr.closedform import (
-    lemma4_count,
-    predict_acorr,
-    predict_acorrs,
-    predict_distribution,
-    weighted_sum,
-)
+from arithcorr.closedform import lemma4_count, predict_acorrs, predict_distribution, weighted_sum
 from arithcorr.gf2m import GF2m, find_primitive_polynomials, make_field
 from arithcorr.sequences import m_sequence
-from conftest import ALL_SHIFT_FIELDS, BAD_TAU_LISTS_N7, fold_beta, gap_scan_block_counts
+from conftest import ALL_SHIFT_FIELDS, BAD_TAU_LISTS_N7, fold_beta, gap_scan_block_counts, predict_acorr
 
 
 def eq4_count(counts, l):
@@ -214,7 +208,7 @@ def test_empirical_distribution_poly_independent(m):
     predicted = predict_distribution(m)
     for poly in find_primitive_polynomials(m, 3):
         seq = m_sequence(make_field(m, poly))
-        assert distribution(seq) == predicted
+        assert Counter(arithmetic_autocorrs(seq, range(1, seq.period))) == predicted
 
 
 @pytest.mark.parametrize("m", range(2, 13))
@@ -232,7 +226,8 @@ def test_remark_correspondence(m):
 @pytest.mark.parametrize("m", range(3, 11))
 def test_absolute_value_counts(m):
     # number of tau with |A| = 2^k - 1 is 2^(m-k)
-    dist = distribution(m_sequence(make_field(m)))
+    seq = m_sequence(make_field(m))
+    dist = Counter(arithmetic_autocorrs(seq, range(1, seq.period)))
     for k in range(1, m):
         value = (1 << k) - 1
         assert dist[value] + dist[-value] == 1 << (m - k)
