@@ -175,6 +175,16 @@ class TestDist:
         assert doc["check"] == "pass"
         assert doc["distribution"]["7"] == 1
 
+    @pytest.mark.parametrize("m, route", [(14, "direct"), (15, "blocks")])
+    def test_reads_the_exhaustive_route(self, capsys, monkeypatch, m, route):
+        # dist counts the column verify's distribution row reads: direct up to m = 14, blocks above
+        calls = []
+        for module, name, key in [(arith, "arithmetic_autocorrs", "direct"), (blocks, "autocorrs_via_blocks", "blocks")]:
+            bulk = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda seq, taus, key=key, bulk=bulk: calls.append(key) or bulk(seq, taus))
+        code, out, _ = run(capsys, "dist", "--m", str(m), "--check")
+        assert (code, out.splitlines()[-1], calls) == (0, "check,pass", [route])
+
 
 # each bad `verify --m-range` and the one error line it gives
 BAD_M_RANGES = {
